@@ -25,11 +25,11 @@ from .bench import (
     run_scaling_study,
 )
 from .colony import (
-    ConstructionState,
     NumericalUnderflow,
+    RevisitedCity,
     compute_probability_matrix,
     construct_tours,
-    init_starts,
+    iterate,
 )
 from .model import (
     AcoParams,
@@ -50,7 +50,6 @@ from .pheromone import (
     accumulate_increments,
     apply_update,
     edge_index_matrix,
-    increment_matrix,
     select_elite,
 )
 from .selection import (
@@ -75,7 +74,6 @@ __all__ = [
     "AcoParams",
     "AllZeroWeights",
     "BEST_KNOWN",
-    "ConstructionState",
     "DegenerateInstance",
     "ExperimentConfig",
     "GammaSchedule",
@@ -85,6 +83,7 @@ __all__ = [
     "PheromoneState",
     "ProbabilityMatrix",
     "RawTspFile",
+    "RevisitedCity",
     "RunSummary",
     "Selection",
     "SyntheticSpec",
@@ -100,8 +99,7 @@ __all__ = [
     "edge_index_matrix",
     "euclidean_instance",
     "gamma_at",
-    "increment_matrix",
-    "init_starts",
+    "iterate",
     "load_instance",
     "make_synthetic_instance",
     "parse_instance",

@@ -16,12 +16,13 @@ import io
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import rng
-from .colony import compute_probability_matrix, construct_tours
+from .colony import compute_probability_matrix, iterate
+from .colony import construct_tours  # noqa: F401  (perfbench/test_checks.py reaches it here)
 from .model import (
     AcoParams,
     GammaSchedule,
@@ -31,7 +32,6 @@ from .model import (
     build_instance,
 )
 from .oracle import sequential_aco_step
-from .pheromone import accumulate_increments, apply_update, select_elite
 from .selection import gamma_at, scaled_log_weights
 from .tsplib import RawTspFile, parse_instance, serialize_instance
 
@@ -84,10 +84,8 @@ class ExperimentConfig:
     time_limit_seconds: float | None = None
     output_path: str | None = None
     summary_path: str | None = None
-    record_probability_shift: bool = False
     best_known: float | None = None
     lenient: bool = False
-    chunk_size: int | None = None
 
     def __post_init__(self):
         if (self.instance_path is None) == (self.synthetic is None):
@@ -171,8 +169,7 @@ def _convergence_generation(best_trace: list[float]) -> int:
 def run_experiment(config: ExperimentConfig, inst: TspInstance | None = None,
                    clock=time.perf_counter,
                    ) -> tuple[list[IterationRecord], list[RunSummary]]:
-    """Execute the configured runs: construct -> elite -> deposit ->
-    evaporate -> refresh transition matrix, once per iteration.
+    """Execute the configured runs, one colony.iterate call per iteration.
 
     Run r uses seed base+r. Records are buffered per run and returned in run
     order. Hitting the time limit is normal termination, recorded in the
@@ -198,12 +195,7 @@ def run_experiment(config: ExperimentConfig, inst: TspInstance | None = None,
 
         for it in range(params.max_iters):
             t0 = clock()
-            batch = construct_tours(prob, inst, params, it,
-                                    chunk_size=config.chunk_size)
-            elites = select_elite(batch, params.k)
-            delta = accumulate_increments(elites, inst.n)
-            tau = apply_update(tau, delta, params.rho)
-            prob = compute_probability_matrix(tau, inst, params)
+            batch, tau, prob = iterate(tau, prob, inst, params, it)
             t1 = clock()
 
             ms = (t1 - t0) * 1e3
@@ -249,11 +241,7 @@ def _time_batched_cell(inst: TspInstance, params: AcoParams, iterations: int,
     times = []
     for it in range(iterations):
         t0 = clock()
-        batch = construct_tours(prob, inst, params, it)
-        elites = select_elite(batch, params.k)
-        delta = accumulate_increments(elites, inst.n)
-        tau = apply_update(tau, delta, params.rho)
-        prob = compute_probability_matrix(tau, inst, params)
+        _, tau, prob = iterate(tau, prob, inst, params, it)
         times.append((clock() - t0) * 1e3)
     return times
 
@@ -293,47 +281,35 @@ def run_scaling_study(instances: list[TspInstance], population_sizes: list[int],
 
     for inst in instances:
         for m in population_sizes:
-            cell_means: dict[str, float] = {}
+            base = AcoParams.for_instance(inst.n, m=m, selection=selection, seed=seed)
+            cell: dict[str, dict] = {}
             for cell_mode in modes:
-                base = AcoParams.for_instance(
-                    inst.n, m=m, k=max(1, m // 10), selection=selection, seed=seed)
+                row = cell[cell_mode] = {
+                    "instance": inst.name or f"n{inst.n}", "n": inst.n, "m": m,
+                    "mode": cell_mode, "selection": base.selection.value,
+                    "repetitions": repetitions, "iterations": iterations,
+                    "mean_ms_per_iter": None, "std_ms_per_iter": None,
+                    "speedup_vs_sequential": None, "status": "ok",
+                }
+                rows.append(row)
                 if cell_mode == "sequential" and budget_ms is not None:
                     probe_m = max(1, min(32, m // 100))
                     probe = replace(base, m=probe_m, k=max(1, probe_m // 10))
                     probe_ms = _time_sequential_cell(inst, probe, 1, clock)[0]
-                    projected = probe_ms * (m / probe_m)
-                    if projected > budget_ms:
-                        rows.append({
-                            "instance": inst.name or f"n{inst.n}", "n": inst.n,
-                            "m": m, "mode": cell_mode,
-                            "selection": base.selection.value,
-                            "repetitions": repetitions, "iterations": iterations,
-                            "mean_ms_per_iter": None, "std_ms_per_iter": None,
-                            "speedup_vs_sequential": None,
-                            "status": "exceeded_budget",
-                        })
+                    if probe_ms * (m / probe_m) > budget_ms:
+                        row["status"] = "exceeded_budget"
                         continue
                 samples: list[float] = []
                 for rep in range(repetitions):
                     params = replace(base, seed=seed + rep)
                     times = timers[cell_mode](inst, params, iterations + 1, clock)
                     samples.extend(times[1:])  # drop warmup
-                mean = float(np.mean(samples))
-                cell_means[cell_mode] = mean
-                rows.append({
-                    "instance": inst.name or f"n{inst.n}", "n": inst.n, "m": m,
-                    "mode": cell_mode, "selection": base.selection.value,
-                    "repetitions": repetitions, "iterations": iterations,
-                    "mean_ms_per_iter": mean,
-                    "std_ms_per_iter": float(np.std(samples)),
-                    "speedup_vs_sequential": None, "status": "ok",
-                })
-            if "batched" in cell_means and "sequential" in cell_means:
-                for row in rows:
-                    if (row["instance"] == (inst.name or f"n{inst.n}")
-                            and row["m"] == m and row["mode"] == "batched"):
-                        row["speedup_vs_sequential"] = (
-                            cell_means["sequential"] / cell_means["batched"])
+                row["mean_ms_per_iter"] = float(np.mean(samples))
+                row["std_ms_per_iter"] = float(np.std(samples))
+            if len(cell) == 2 and cell["sequential"]["status"] == "ok":
+                batched = cell["batched"]
+                batched["speedup_vs_sequential"] = (
+                    cell["sequential"]["mean_ms_per_iter"] / batched["mean_ms_per_iter"])
     return rows
 
 
@@ -360,15 +336,10 @@ def run_probability_shift_study(inst: TspInstance, params: AcoParams,
 
     for it in range(iterations):
         gamma = gamma_at(it, params.gamma_schedule)
-        captured: dict = {}
-
-        def probe(state, _c=captured, _p=prob):
-            if state.step == 0 and not _c:
-                row = _p.p[state.current_city[0]] * ~state.visited[0]
-                _c["row"] = row / row.sum()
-
-        batch = construct_tours(prob, inst, params, it, probe=probe)
-        row = captured["row"]
+        # ant 0's row at its start city: the diagonal is already zero, so
+        # this is the row masked to the unvisited cities
+        row = prob.p[rng.start_cities(params.seed, it, params.m, inst.n)[0]]
+        row = row / row.sum()
         target = int(np.argmax(row))
         p_max = float(row[target])
 
@@ -380,11 +351,7 @@ def run_probability_shift_study(inst: TspInstance, params: AcoParams,
             "iteration": it, "gamma": gamma, "p_max": p_max,
             "p_hat_max_prime": hits / trials,
         })
-
-        elites = select_elite(batch, params.k)
-        delta = accumulate_increments(elites, inst.n)
-        tau = apply_update(tau, delta, params.rho)
-        prob = compute_probability_matrix(tau, inst, params)
+        _, tau, prob = iterate(tau, prob, inst, params, it)
     return rows
 
 
@@ -427,16 +394,38 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return d
 
 
+def _checked_keys(cls, d, where: str) -> dict:
+    """A copy of ``d`` whose keys are all fields of ``cls`` and include its
+    required ones; ValueError naming the first key that is not."""
+    if not isinstance(d, dict):
+        raise ValueError(f"config {where or 'file'} must be a JSON object")
+    prefix = f"{where}." if where else ""
+    known = {f.name: f for f in fields(cls)}
+    for key in d:
+        if key not in known:
+            raise ValueError(f"unknown config key {prefix + key!r}")
+    for name, f in known.items():
+        if name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"missing config key {prefix + name!r}")
+    return dict(d)
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
-    d = dict(d)
-    p = dict(d.pop("params"))
-    sched = p.pop("gamma_schedule", None)
-    if sched is not None:
-        p["gamma_schedule"] = GammaSchedule(**sched)
-    syn = d.pop("synthetic", None)
-    if syn is not None:
-        syn = SyntheticSpec(**syn)
-    return ExperimentConfig(params=AcoParams(**p), synthetic=syn, **d)
+    """Inverse of config_to_dict. Raises ValueError on an unknown or missing
+    key and on a value of the wrong type."""
+    d = _checked_keys(ExperimentConfig, d, "")
+    p = _checked_keys(AcoParams, d.pop("params"), "params")
+    try:
+        sched = p.pop("gamma_schedule", None)
+        if sched is not None:
+            p["gamma_schedule"] = GammaSchedule(
+                **_checked_keys(GammaSchedule, sched, "params.gamma_schedule"))
+        syn = d.pop("synthetic", None)
+        if syn is not None:
+            syn = SyntheticSpec(**_checked_keys(SyntheticSpec, syn, "synthetic"))
+        return ExperimentConfig(params=AcoParams(**p), synthetic=syn, **d)
+    except TypeError as e:
+        raise ValueError(f"bad config value: {e}") from None
 
 
 def summary_json_text(config: ExperimentConfig, inst: TspInstance,

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .bench import (
     ExperimentConfig,
@@ -27,14 +28,8 @@ from .bench import (
     write_dict_csv,
     write_records_csv,
 )
-from .colony import NumericalUnderflow
-from .model import AcoParams, DegenerateInstance, GammaSchedule, Selection
-from .oracle import InstanceTooLarge
-from .selection import AllZeroWeights
-from .tsplib import TsplibParseError
-
-_ERRORS = (TsplibParseError, DegenerateInstance, NumericalUnderflow,
-           AllZeroWeights, InstanceTooLarge, ValueError, OSError)
+from .model import AcoParams, GammaSchedule, Selection
+from .tsplib import parse_instance
 
 # Time-limited runs still need an iteration cap for record bookkeeping.
 _TIME_LIMIT_ITER_CAP = 1_000_000
@@ -46,6 +41,17 @@ def _open_out(path: str, newline: str | None = None):
     if parent:
         os.makedirs(parent, exist_ok=True)
     return open(path, "w", encoding="utf-8", newline=newline)
+
+
+def _write_rows(rows: list[dict], columns: list[str], path: str | None) -> int:
+    """Write a study's CSV to ``path``, or to stdout when there is none."""
+    if path:
+        with _open_out(path, newline="") as f:
+            write_dict_csv(rows, columns, f)
+        print(f"wrote {len(rows)} rows to {path}")
+    else:
+        write_dict_csv(rows, columns, sys.stdout)
+    return 0
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -79,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="experiment config file; explicit flags override it")
     solve.add_argument("--best-known", type=float, default=None)
     solve.add_argument("--lenient", action="store_true")
-    solve.add_argument("--chunk-size", type=int, default=None)
 
     scaling = sub.add_parser("scaling", help="batched vs sequential timing grid")
     scaling.add_argument("--instances", nargs="+", required=True,
@@ -120,102 +125,56 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _schedule_from_args(args, max_iters: int) -> GammaSchedule:
-    base = GammaSchedule()
-    return GammaSchedule(
-        gamma_max=args.gamma_max if args.gamma_max is not None else base.gamma_max,
-        gamma_min=args.gamma_min if args.gamma_min is not None else base.gamma_min,
-        period=args.period if args.period is not None else max_iters,
-    )
+# flag dest -> field it sets, for the flags a user may leave out
+_PARAM_FLAGS = {"ants": "m", "elite": "k", "alpha": "alpha", "beta": "beta",
+                "rho": "rho", "seed": "seed", "iters": "max_iters"}
+_SCHEDULE_FLAGS = {"gamma_max": "gamma_max", "gamma_min": "gamma_min",
+                   "period": "period"}
+_CONFIG_FLAGS = {"reps": "repetitions", "time_limit": "time_limit_seconds",
+                 "out": "output_path", "summary": "summary_path",
+                 "best_known": "best_known"}
 
 
-def _params_from_args(args, n: int, selection: Selection,
-                      max_iters: int) -> AcoParams:
-    m = args.ants if args.ants is not None else n
-    return AcoParams(
-        m=m,
-        k=args.elite if args.elite is not None else max(1, m // 10),
-        alpha=args.alpha if args.alpha is not None else 1.0,
-        beta=args.beta if args.beta is not None else 2.0,
-        rho=args.rho if args.rho is not None else 0.1,
-        selection=selection,
-        gamma_schedule=_schedule_from_args(args, max_iters),
-        max_iters=max_iters,
-        seed=args.seed if args.seed is not None else 0,
-    )
+def _given(args, flags: dict) -> dict:
+    return {name: getattr(args, dest) for dest, name in flags.items()
+            if getattr(args, dest, None) is not None}
 
 
-def _peek_dimension(path: str, lenient: bool) -> int:
-    cfg = ExperimentConfig(params=AcoParams(m=1, k=1), instance_path=path,
-                           lenient=lenient)
-    return load_instance(cfg).n
+def _overlay(args, params: AcoParams) -> AcoParams:
+    """``params`` with every parameter flag given on the command line on top."""
+    given = _given(args, _PARAM_FLAGS)
+    if getattr(args, "selection", None) is not None:
+        given["selection"] = Selection(args.selection)
+    sched = replace(params.gamma_schedule, **_given(args, _SCHEDULE_FLAGS))
+    return replace(params, gamma_schedule=sched, **given)
+
+
+def _default_params(args, default_iters: int) -> AcoParams:
+    """Defaults for the instance: m = n ants unless --ants is given, k =
+    m/10, --iters or ``default_iters`` iterations, and one gamma cycle over
+    them."""
+    max_iters = args.iters if args.iters is not None else default_iters
+    m = args.ants
+    if m is None:
+        with open(args.instance, "r", encoding="utf-8") as f:
+            m = parse_instance(f.read()).dimension
+    return AcoParams(m=m, k=max(1, m // 10), max_iters=max_iters,
+                     gamma_schedule=GammaSchedule(period=max_iters))
 
 
 def _cmd_solve(args) -> int:
+    # The base comes from --config or from the defaults; every flag given
+    # on the command line is applied on top of it.
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as f:
-            config = config_from_dict(json.load(f))
-        # Flags given on the command line take precedence over the file.
-        from dataclasses import replace
-        p = config.params
-        max_iters = args.iters if args.iters is not None else p.max_iters
-        sched = GammaSchedule(
-            gamma_max=(args.gamma_max if args.gamma_max is not None
-                       else p.gamma_schedule.gamma_max),
-            gamma_min=(args.gamma_min if args.gamma_min is not None
-                       else p.gamma_schedule.gamma_min),
-            period=(args.period if args.period is not None
-                    else p.gamma_schedule.period),
-        )
-        p = replace(
-            p,
-            m=args.ants if args.ants is not None else p.m,
-            k=args.elite if args.elite is not None else p.k,
-            alpha=args.alpha if args.alpha is not None else p.alpha,
-            beta=args.beta if args.beta is not None else p.beta,
-            rho=args.rho if args.rho is not None else p.rho,
-            selection=(Selection(args.selection) if args.selection is not None
-                       else p.selection),
-            gamma_schedule=sched,
-            max_iters=max_iters,
-            seed=args.seed if args.seed is not None else p.seed,
-        )
-        config = replace(
-            config,
-            params=p,
-            instance_path=args.instance,
-            synthetic=None,
-            repetitions=args.reps if args.reps is not None else config.repetitions,
-            time_limit_seconds=(args.time_limit if args.time_limit is not None
-                                else config.time_limit_seconds),
-            output_path=args.out if args.out is not None else config.output_path,
-            summary_path=(args.summary if args.summary is not None
-                          else config.summary_path),
-            best_known=(args.best_known if args.best_known is not None
-                        else config.best_known),
-            lenient=args.lenient or config.lenient,
-            chunk_size=(args.chunk_size if args.chunk_size is not None
-                        else config.chunk_size),
-        )
+            base = config_from_dict(json.load(f))
     else:
-        n = _peek_dimension(args.instance, args.lenient)
-        selection = (Selection(args.selection) if args.selection is not None
-                     else Selection.ADAIR)
-        if args.time_limit is not None:
-            max_iters = _TIME_LIMIT_ITER_CAP
-        else:
-            max_iters = args.iters if args.iters is not None else 1000
-        config = ExperimentConfig(
-            params=_params_from_args(args, n, selection, max_iters),
-            instance_path=args.instance,
-            repetitions=args.reps if args.reps is not None else 1,
-            time_limit_seconds=args.time_limit,
-            output_path=args.out,
-            summary_path=args.summary,
-            best_known=args.best_known,
-            lenient=args.lenient,
-            chunk_size=args.chunk_size,
-        )
+        iters = _TIME_LIMIT_ITER_CAP if args.time_limit is not None else 1000
+        base = ExperimentConfig(params=_default_params(args, iters),
+                                instance_path=args.instance)
+    config = replace(base, params=_overlay(args, base.params), instance_path=args.instance,
+                     synthetic=None, lenient=args.lenient or base.lenient,
+                     **_given(args, _CONFIG_FLAGS))
 
     inst = load_instance(config)
     records, summaries = run_experiment(config, inst)
@@ -253,39 +212,24 @@ def _cmd_scaling(args) -> int:
         instances, sizes, args.mode, iterations=args.iterations,
         repetitions=args.reps, seed=args.seed,
         selection=Selection(args.selection), budget_ms=args.budget_ms)
-    if args.out:
-        with _open_out(args.out, newline="") as f:
-            write_dict_csv(rows, SCALING_COLUMNS, f)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        write_dict_csv(rows, SCALING_COLUMNS, sys.stdout)
-    return 0
+    return _write_rows(rows, SCALING_COLUMNS, args.out)
 
 
 def _cmd_shift(args) -> int:
-    n = _peek_dimension(args.instance, args.lenient)
-    params = _params_from_args(args, n, Selection.ADAIR, args.iters)
+    params = _overlay(args, _default_params(args, args.iters))
     cfg = ExperimentConfig(params=params, instance_path=args.instance,
                            lenient=args.lenient)
     inst = load_instance(cfg)
     rows = run_probability_shift_study(inst, params, args.iters,
                                        trials=args.trials)
-    if args.out:
-        with _open_out(args.out, newline="") as f:
-            write_dict_csv(rows, SHIFT_COLUMNS, f)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        write_dict_csv(rows, SHIFT_COLUMNS, sys.stdout)
-    return 0
+    return _write_rows(rows, SHIFT_COLUMNS, args.out)
 
 
 def _cmd_convergence(args) -> int:
-    from dataclasses import replace
-
-    n = _peek_dimension(args.instance, args.lenient)
-    base = _params_from_args(args, n, Selection.ADAIR, args.iters)
+    base = _overlay(args, _default_params(args, args.iters))
+    inst = load_instance(ExperimentConfig(params=base, instance_path=args.instance,
+                                          best_known=args.best_known, lenient=args.lenient))
     report = []
-    inst = None
     for mech in (Selection.RW, Selection.IR, Selection.ADAIR):
         params = replace(base, selection=mech)
         config = ExperimentConfig(
@@ -295,8 +239,6 @@ def _cmd_convergence(args) -> int:
             output_path=f"{args.out_prefix}_{mech.value}.csv",
             summary_path=f"{args.out_prefix}_{mech.value}.json",
         )
-        if inst is None:
-            inst = load_instance(config)
         records, summaries = run_experiment(config, inst)
         with _open_out(config.output_path, newline="") as f:
             write_records_csv(records, f)
@@ -328,7 +270,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except _ERRORS as e:
+    except (ValueError, OSError) as e:  # every structured error is a ValueError
         print(f"antbatch: error: {e}", file=sys.stderr)
         return 2
 

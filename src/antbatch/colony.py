@@ -1,18 +1,16 @@
-"""Batched tour construction: transition-matrix preprocessing and the
-lockstep driver that advances all m ants together.
+"""The colony iteration: transition-matrix preprocessing, the lockstep
+driver that advances all m ants together, and ``iterate``, which chains
+construction, elite deposit, evaporation and the next transition matrix.
 
 One iteration's randomness is addressed per construction step: step s draws
-one (m, n) deviate block covering every ant (rng module), so results are
-bit-identical no matter how the ants are scheduled: full width, chunked, or
-one at a time. The argmax mechanisms consume the full block through a single
-fused kernel; the roulette wheel consumes one threshold per ant (the uniform
-view of the block's first column) and runs all spins in lockstep through a
-row-wise prefix-sum kernel.
+one (m, n) deviate block covering every ant (rng module), so an ant's
+choices never depend on how the others are scheduled. The argmax mechanisms
+consume the full block through a single fused kernel; the roulette wheel
+consumes one threshold per ant (the uniform view of the block's first
+column) and runs all spins in lockstep through a row-wise prefix-sum kernel.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +24,7 @@ from .model import (
     TspInstance,
     batch_costs,
 )
+from .pheromone import accumulate_increments, apply_update, select_elite
 from .selection import argmax_select_block, gamma_at, rw_spin_block, scaled_log_weights
 
 
@@ -33,19 +32,8 @@ class NumericalUnderflow(ValueError):
     """A transition-matrix row normalizer vanished or became non-finite."""
 
 
-@dataclass
-class ConstructionState:
-    """Mid-construction snapshot: where every ant is and what it has seen.
-
-    ``step`` counts completed placements minus one, so visited[a] always has
-    exactly step+1 true entries and visited[a][current_city[a]] is true.
-    Probe callbacks receive live read-only views; they must not be kept
-    across steps.
-    """
-
-    current_city: np.ndarray
-    visited: np.ndarray
-    step: int
+class RevisitedCity(ValueError):
+    """A selector chose a city its ant had already visited."""
 
 
 def compute_probability_matrix(tau: PheromoneState, inst: TspInstance,
@@ -69,40 +57,23 @@ def compute_probability_matrix(tau: PheromoneState, inst: TspInstance,
     return ProbabilityMatrix(p=unnorm / sums)
 
 
-def init_starts(m: int, n: int, rng_stream: np.random.Generator) -> np.ndarray:
-    """Uniform random start city for each of m ants, values in [0, n)."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    return rng_stream.integers(0, n, size=m, dtype=np.int64)
-
-
-def _readonly_view(a: np.ndarray) -> np.ndarray:
-    v = a.view()
-    v.flags.writeable = False
-    return v
-
-
 def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
-                    iteration: int, chunk_size: int | None = None,
-                    probe=None) -> TourBatch:
+                    iteration: int) -> TourBatch:
     """Build m complete tours in n-1 lockstep selection rounds.
 
     At every round each ant picks its next city from its current row of the
     transition matrix restricted to unvisited cities (masked and
     renormalized; for the argmax mechanisms the renormalizer is a per-row
     constant and drops out of the argmax, the wheel materializes the masked
-    row's CDF). ``chunk_size`` optionally processes ants in row blocks;
-    output is bit-identical at any chunking because each ant's deviates are
-    addressed by key, not by draw order. ``probe``, when given, is called
-    with a read-only ConstructionState before every selection round.
+    row's CDF). Raises RevisitedCity when a selector returns a city its ant
+    has already visited, which happens only when every unvisited city of
+    the ant's row has zero weight.
     """
     n, m = inst.n, params.m
     mech = params.selection
     gamma = gamma_at(iteration, params.gamma_schedule) if mech is Selection.ADAIR else 1.0
 
-    current = init_starts(m, n, rng.stream(params.seed, rng.DOMAIN_START, iteration))
+    current = rng.start_cities(params.seed, iteration, m, n)
     rows = np.arange(m)
     visited = np.zeros((m, n), dtype=bool)
     visited[rows, current] = True
@@ -116,39 +87,43 @@ def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
         logw = scaled_log_weights(p.p, gamma)
     scores = np.empty((m, n))
 
-    if chunk_size is None or chunk_size >= m:
-        bounds = [(0, m)]
-    else:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        bounds = [(lo, min(lo + chunk_size, m)) for lo in range(0, m, chunk_size)]
-
     for step in range(1, n):
-        if probe is not None:
-            probe(ConstructionState(
-                current_city=_readonly_view(current),
-                visited=_readonly_view(visited),
-                step=step - 1,
-            ))
-        nxt = np.empty(m, dtype=np.int64)
         if mech is Selection.RW:
             u = rng.step_uniforms(params.seed, iteration, step, m, n)
-            for lo, hi in bounds:
-                nxt[lo:hi] = rw_spin_block(
-                    p.p, current[lo:hi], unvisited_f[lo:hi],
-                    u[lo:hi], scores[lo:hi],
-                )
+            nxt = rw_spin_block(p.p, current, unvisited_f, u, scores)
             unvisited_f[rows, nxt] = 0.0
         else:
             e_block = rng.step_exponentials(params.seed, iteration, step, m, n)
-            for lo, hi in bounds:
-                nxt[lo:hi] = argmax_select_block(
-                    logw, current[lo:hi], e_block[lo:hi],
-                    visited[lo:hi], scores[lo:hi],
-                )
-        assert not visited[rows, nxt].any(), "selector chose a visited city"
+            nxt = argmax_select_block(logw, current, e_block, visited, scores)
+        revisits = visited[rows, nxt]
+        if revisits.any():
+            a = int(np.argmax(revisits))
+            raise RevisitedCity(
+                f"ant {a} chose already-visited city {nxt[a]} at iteration "
+                f"{iteration}, step {step}: the transition weights of all its "
+                "unvisited cities underflowed to zero"
+            )
         current = nxt
         visited[rows, current] = True
         tours[:, step] = current
 
     return TourBatch(tours=tours, costs=batch_costs(tours, inst))
+
+
+def iterate(tau: PheromoneState, prob: ProbabilityMatrix, inst: TspInstance,
+            params: AcoParams, iteration: int,
+            ) -> tuple[TourBatch, PheromoneState, ProbabilityMatrix]:
+    """One colony iteration: construct every ant's tour against ``prob``,
+    select the k elite tours, deposit their increments, evaporate, and
+    precompute the transition matrix for the next iteration.
+
+    ``prob`` must be the transition matrix of ``tau``. Returns the
+    iteration's tours with the updated pheromone and transition matrix.
+    """
+    batch = construct_tours(prob, inst, params, iteration)
+    elites = select_elite(batch, params.k)
+    # the deposit matrix is passed on, not named, so that it is freed before
+    # the next transition matrix is built: the caller still holds the old
+    # tau and prob, and each is an (n, n) array
+    tau = apply_update(tau, accumulate_increments(elites, inst.n), params.rho)
+    return batch, tau, compute_probability_matrix(tau, inst, params)

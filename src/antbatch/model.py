@@ -278,8 +278,15 @@ class TourBatch:
 
 
 def _check_permutation(tour: np.ndarray, n: int) -> None:
-    if tour.shape != (n,) or not np.array_equal(np.sort(tour), np.arange(n)):
-        raise InvalidPermutation(f"not a permutation of 0..{n - 1}: {tour!r}")
+    """Raise InvalidPermutation unless ``tour`` is a permutation of 0..n-1.
+
+    The message names n and the first missing city, never the whole tour.
+    """
+    if tour.shape == (n,) and np.array_equal(np.sort(tour), np.arange(n)):
+        return
+    missing = np.setdiff1d(np.arange(n), tour)
+    detail = f"city {missing[0]} is missing" if missing.size else f"shape {tour.shape}"
+    raise InvalidPermutation(f"not a permutation of 0..{n - 1}: {detail}")
 
 
 def tour_cost(tour, inst: TspInstance) -> float:

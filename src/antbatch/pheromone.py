@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import TAU_MIN, InvalidPermutation, PheromoneState, TourBatch
+from .model import TAU_MIN, PheromoneState, TourBatch, _check_permutation
 
 
 def select_elite(batch: TourBatch, k: int) -> list[tuple[np.ndarray, float]]:
@@ -32,30 +32,19 @@ def edge_index_matrix(tour) -> np.ndarray:
     edges. Shape (n, 2).
     """
     t = np.asarray(tour, dtype=np.int64)
-    n = t.size
-    if not np.array_equal(np.sort(t), np.arange(n)):
-        raise InvalidPermutation(f"not a permutation of 0..{n - 1}: {tour!r}")
+    _check_permutation(t, t.size)
     return np.column_stack((t, np.roll(t, 1)))
-
-
-def increment_matrix(tour, cost: float, n: int) -> np.ndarray:
-    """Deposit matrix for one tour: 1/cost on each tour edge, both
-    orientations, zero elsewhere. Exactly 2n nonzero entries."""
-    idx = edge_index_matrix(tour)
-    a = np.zeros((n, n))
-    inc = 1.0 / cost
-    a[idx[:, 0], idx[:, 1]] = inc
-    a[idx[:, 1], idx[:, 0]] = inc
-    return a
 
 
 def accumulate_increments(elites: list[tuple[np.ndarray, float]], n: int) -> np.ndarray:
     """Sum of per-elite increment matrices, accumulated in elite rank order.
 
-    Within one elite the n directed index pairs are distinct, so the fancy
-    in-place add performs each deposit exactly once; across elites the
-    accumulation order is the given rank order. The result is therefore
-    bitwise equal to the sequential per-edge reference loop.
+    An elite's increment matrix holds 1/cost on each of its tour's edges, in
+    both orientations, and zero elsewhere. Within one elite the n directed
+    index pairs are distinct, so the fancy in-place add performs each
+    deposit exactly once; across elites the accumulation order is the given
+    rank order. The result is therefore bitwise equal to the sequential
+    per-edge reference loop.
     """
     if not elites:
         raise ValueError("elites must be nonempty")

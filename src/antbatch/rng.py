@@ -4,8 +4,8 @@ Every random draw in a run is addressed by an explicit key
 ``(seed, domain, *indices)`` rather than by position in one global stream.
 Streams are Philox counter-based generators seeded through
 ``numpy.random.SeedSequence`` spawn keys, so any consumer (the batched
-pipeline, the sequential reference, a chunked scheduler) regenerates
-identical values for the same key regardless of execution order or width.
+pipeline, the sequential reference) regenerates identical values for the
+same key regardless of execution order or width.
 
 Construction randomness is drawn in per-step blocks: at iteration ``it``,
 step ``step``, the colony draws one (m, n) block of Exp(1) deviates covering

@@ -1,4 +1,7 @@
+import hashlib
+import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from antbatch.bench import (
     ITER_COLUMNS,
     IterationRecord,
     SCALING_COLUMNS,
+    SHIFT_COLUMNS,
     SyntheticSpec,
     _convergence_generation,
     config_from_dict,
@@ -21,8 +25,9 @@ from antbatch.bench import (
     run_probability_shift_study,
     run_scaling_study,
     summary_json_text,
+    write_dict_csv,
 )
-from antbatch.colony import compute_probability_matrix, init_starts
+from antbatch.colony import compute_probability_matrix
 from antbatch.model import (
     AcoParams,
     GammaSchedule,
@@ -97,6 +102,23 @@ def test_config_json_round_trip():
     d = json.loads(json.dumps(config_to_dict(cfg)))
     again = config_from_dict(d)
     assert again == cfg
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda d: d.update(chunk_size=4), "unknown config key 'chunk_size'"),
+    (lambda d: d["params"].update(chunk_sz=4), "unknown config key 'params.chunk_sz'"),
+    (lambda d: d["params"]["gamma_schedule"].update(p=1),
+     "unknown config key 'params.gamma_schedule.p'"),
+    (lambda d: d.pop("params"), "missing config key 'params'"),
+    (lambda d: d["params"].pop("k"), "missing config key 'params.k'"),
+    (lambda d: d["params"].update(m="six"), "bad config value"),
+    (lambda d: d.update(params=[]), "config params must be a JSON object"),
+], ids=["top", "params", "schedule", "no-params", "no-k", "type", "not-object"])
+def test_config_from_dict_names_the_bad_key(edit, named):
+    d = json.loads(json.dumps(config_to_dict(tiny_config())))
+    edit(d)
+    with pytest.raises(ValueError, match=named):
+        config_from_dict(d)
 
 
 # run_experiment ----------------------------------------------------------------
@@ -265,8 +287,7 @@ def test_shift_study_rows_and_gamma_one_matches_ir_probability():
     # independent-roulette win probability of its argmax city
     tau = PheromoneState.initial(inst.n, params.q0_tau)
     prob = compute_probability_matrix(tau, inst, params)
-    start = int(init_starts(params.m, inst.n,
-                            rng.stream(params.seed, rng.DOMAIN_START, 0))[0])
+    start = int(rng.start_cities(params.seed, 0, params.m, inst.n)[0])
     row = prob.p[start].copy()
     row[start] = 0.0
     row /= row.sum()
@@ -290,3 +311,39 @@ def test_shift_study_annealing_reports_schedule_gammas():
     gammas = [r["gamma"] for r in rows]
     assert gammas[0] == 1.5
     assert all(a >= b for a, b in zip(gammas, gammas[1:]))
+
+
+# pinned outputs -------------------------------------------------------------------
+
+# sha256 of seeded outputs, computed before colony.iterate replaced the three
+# inline copies of the iteration loop. The digests are of repr'd floats, so
+# they assume IEEE doubles and the numpy/libm results of an x86-64 Linux build.
+RECORD_DIGESTS = {
+    "rw": "3758f1902adddea79671f42229f38bd4e05298a4aae508b5124270b03f24c16b",
+    "ir": "ca6b4f4d93a731856cd944eeb8ee91248c3c57adcd0eb6e9042209964e5aac56",
+    "adair": "a679c1e0ce66bc6bc776219ac7fbf72818f0d6bb4df5634137f74b8cc14633bf",
+}
+SHIFT_DIGEST = "339e36725116f3f5c307127f962ba05d6d3937cab180f0963ee0c753676ea4e0"
+PINNED_SPEC = SyntheticSpec(n=20, seed=4)
+
+
+@pytest.mark.parametrize("mech", list(Selection))
+def test_run_experiment_outputs_are_pinned(mech):
+    cfg = ExperimentConfig(
+        params=AcoParams(m=8, k=2, selection=mech, max_iters=3, seed=7,
+                         gamma_schedule=GammaSchedule(period=3)),
+        synthetic=PINNED_SPEC, repetitions=2)
+    records, summaries = run_experiment(cfg, clock=FakeClock())
+    runs = json.dumps([asdict(s) for s in summaries], sort_keys=True)
+    digest = hashlib.sha256((records_csv_text(records) + runs).encode()).hexdigest()
+    assert digest == RECORD_DIGESTS[mech.value]
+
+
+def test_shift_study_rows_are_pinned():
+    inst = build_instance(make_synthetic_instance(PINNED_SPEC))
+    params = AcoParams(m=8, k=2, seed=5, selection=Selection.ADAIR,
+                       gamma_schedule=GammaSchedule(1.5, 1.0, 4))
+    buf = io.StringIO()
+    write_dict_csv(run_probability_shift_study(inst, params, 4, trials=2000),
+                   SHIFT_COLUMNS, buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SHIFT_DIGEST

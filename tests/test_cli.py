@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -77,6 +79,38 @@ def test_solve_config_file_with_flag_override(inst_path, tmp_path):
     lines = read(out).splitlines()
     assert len(lines) == 5          # --iters flag overrode the file
     assert lines[1].split(",")[1] == "3"  # file's seed survived
+
+
+def test_config_with_unknown_key_is_one_line_error(inst_path, tmp_path, capsys):
+    d = config_to_dict(ExperimentConfig(params=AcoParams(m=5, k=1),
+                                        instance_path=inst_path))
+    d["chunk_size"] = 4
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump(d, f)
+    rc = main(["solve", inst_path, "--config", cfg_path, "--iters", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "antbatch: error: unknown config key 'chunk_size'\n"
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
+def test_high_beta_underflow_is_one_line_error(optimize):
+    # beta = 120 underflows tau^alpha * eta^beta to zero for every unvisited
+    # city of some ant; the check that catches it must survive python -O
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-m", "antbatch.cli", "solve",
+         os.path.join(src, "antbatch", "data", "rnd120.tsp"),
+         "--beta", "120", "--iters", "2", "--ants", "8"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("antbatch: error: ant ")
+    assert "already-visited city" in lines[0] and "step" in lines[0]
 
 
 def test_missing_file_is_error(capsys):

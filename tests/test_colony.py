@@ -1,20 +1,27 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from antbatch import rng
+from antbatch.bench import SyntheticSpec, make_synthetic_instance
 from antbatch.colony import (
     NumericalUnderflow,
+    RevisitedCity,
     compute_probability_matrix,
     construct_tours,
-    init_starts,
+    iterate,
 )
 from antbatch.model import (
     AcoParams,
     GammaSchedule,
     PheromoneState,
+    ProbabilityMatrix,
     Selection,
     batch_costs,
+    build_instance,
 )
+from antbatch.pheromone import accumulate_increments, apply_update, select_elite
 
 from conftest import random_metric_instance
 
@@ -72,15 +79,6 @@ def test_non_finite_rows_raise():
                                    params_for(inst, Selection.IR, alpha=4.0))
 
 
-# starts ----------------------------------------------------------------------
-
-def test_init_starts_deterministic_and_in_range():
-    s1 = init_starts(64, 7, rng.stream(3, rng.DOMAIN_START, 0))
-    s2 = init_starts(64, 7, rng.stream(3, rng.DOMAIN_START, 0))
-    assert np.array_equal(s1, s2)
-    assert s1.min() >= 0 and s1.max() < 7
-
-
 # construction ----------------------------------------------------------------
 
 @pytest.mark.parametrize("mech", list(Selection))
@@ -117,18 +115,6 @@ def test_construct_tours_seed_decorrelates():
     assert not np.array_equal(a.tours, b.tours)
 
 
-@pytest.mark.parametrize("mech", [Selection.IR, Selection.ADAIR])
-@pytest.mark.parametrize("chunk", [1, 3, 1000])
-def test_chunking_is_bit_invisible(mech, chunk):
-    # chunked deviate consumption must replay the exact same per-step blocks
-    inst = make(10, seed=6)
-    params = params_for(inst, mech, m=7, seed=5)
-    p = compute_probability_matrix(PheromoneState.initial(10, 1.0), inst, params)
-    whole = construct_tours(p, inst, params, iteration=1)
-    sliced = construct_tours(p, inst, params, iteration=1, chunk_size=chunk)
-    assert np.array_equal(whole.tours, sliced.tours)
-
-
 def test_adair_constant_gamma_one_equals_ir_bitwise():
     inst = make(12, seed=9)
     sched = GammaSchedule(gamma_max=1.0, gamma_min=1.0, period=10)
@@ -142,33 +128,12 @@ def test_adair_constant_gamma_one_equals_ir_bitwise():
         assert np.array_equal(a.costs, b.costs)
 
 
-def test_probe_sees_consistent_state_and_readonly_views():
-    inst = make(8)
-    params = params_for(inst, Selection.ADAIR, m=5)
-    p = compute_probability_matrix(PheromoneState.initial(8, 1.0), inst, params)
-    seen_steps = []
-
-    def probe(state):
-        seen_steps.append(state.step)
-        # exactly step+1 cities visited per ant before each round
-        assert np.all(state.visited.sum(axis=1) == state.step + 1)
-        # the current city is always marked visited
-        assert state.visited[np.arange(5), state.current_city].all()
-        with pytest.raises(ValueError):
-            state.visited[0, 0] = False
-        with pytest.raises(ValueError):
-            state.current_city[0] = 0
-
-    construct_tours(p, inst, params, iteration=0, probe=probe)
-    assert seen_steps == list(range(7))  # one probe call per round
-
-
 def test_tours_start_at_keyed_start_cities():
     inst = make(9)
     params = params_for(inst, Selection.IR, m=6, seed=21)
     p = compute_probability_matrix(PheromoneState.initial(9, 1.0), inst, params)
     batch = construct_tours(p, inst, params, iteration=5)
-    starts = init_starts(6, 9, rng.stream(21, rng.DOMAIN_START, 5))
+    starts = rng.start_cities(21, 5, 6, 9)
     assert np.array_equal(batch.tours[:, 0], starts)
 
 
@@ -185,3 +150,63 @@ def test_mechanisms_disagree_statistically():
     }
     assert not np.array_equal(batches[Selection.RW].tours,
                               batches[Selection.IR].tours)
+
+
+@pytest.mark.parametrize("mech", list(Selection))
+def test_choosing_a_visited_city_raises_revisited_city(mech):
+    # two 2-cycles: an ant that starts at 0 moves to 1, where the only
+    # city with weight is 0 again, so every unvisited city has weight zero
+    inst = make(4)
+    p = np.zeros((4, 4))
+    p[0, 1] = p[1, 0] = p[2, 3] = p[3, 2] = 1.0
+    params = params_for(inst, mech, m=4, seed=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(RevisitedCity, match=r"^ant \d+ chose already-visited "
+                                                r"city \d+ at iteration 2, step 2:"):
+            construct_tours(ProbabilityMatrix(p=p), inst, params, iteration=2)
+
+
+# iteration -------------------------------------------------------------------
+
+@pytest.mark.parametrize("mech", list(Selection))
+def test_iterate_chains_the_pipeline_in_order(mech):
+    inst = make(10, seed=3)
+    params = params_for(inst, mech, m=7, k=3, seed=4)
+    tau = PheromoneState.initial(10, params.q0_tau)
+    prob = compute_probability_matrix(tau, inst, params)
+    batch, tau1, prob1 = iterate(tau, prob, inst, params, 2)
+    expect = construct_tours(prob, inst, params, 2)
+    assert np.array_equal(batch.tours, expect.tours)
+    assert np.array_equal(batch.costs, expect.costs)
+    delta = accumulate_increments(select_elite(expect, params.k), inst.n)
+    tau_expect = apply_update(tau, delta, params.rho)
+    assert np.array_equal(tau1.tau, tau_expect.tau)
+    assert tau1.iteration == 1
+    assert np.array_equal(prob1.p, compute_probability_matrix(tau1, inst, params).p)
+
+
+# Computed with the explicit construct -> elite -> deposit -> evaporate ->
+# refresh sequence before colony.iterate replaced it: tours, costs, tau and
+# the transition matrix of three iterations on a 20-city instance. The
+# digests are of float bits, so they assume IEEE doubles and the numpy/libm
+# results of an x86-64 Linux build.
+ITERATE_DIGESTS = {
+    "rw": "994a88181e0a0edbfb49f44c400685f775fb1e1195f160f913e0828950fc652b",
+    "ir": "4a4c2d3efb0f4d57860e3caaac3c406204d7afd49247248040c28797c0295cc4",
+    "adair": "dcf22e856b9eb84a14a5bed6467ae5e978274b7fb6baf71cec19a90107f8c126",
+}
+
+
+@pytest.mark.parametrize("mech", list(Selection))
+def test_iterate_outputs_are_pinned(mech):
+    inst = build_instance(make_synthetic_instance(SyntheticSpec(n=20, seed=4)))
+    params = AcoParams(m=8, k=2, selection=mech, seed=7,
+                       gamma_schedule=GammaSchedule(period=3))
+    tau = PheromoneState.initial(inst.n, params.q0_tau)
+    prob = compute_probability_matrix(tau, inst, params)
+    h = hashlib.sha256()
+    for it in range(3):
+        batch, tau, prob = iterate(tau, prob, inst, params, it)
+        for a in (batch.tours, batch.costs, tau.tau, prob.p):
+            h.update(a.tobytes())
+    assert h.hexdigest() == ITERATE_DIGESTS[mech.value]

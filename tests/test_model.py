@@ -140,6 +140,17 @@ def test_tour_cost_rejects_non_permutations(square5):
         tour_cost(np.array([0, 1, 2, 3, 3]), square5)
     with pytest.raises(InvalidPermutation):
         tour_cost(np.array([0, 1, 2]), square5)
+    # the message names n and one city, never the whole tour
+    inst = euclidean_instance(np.random.default_rng(1).uniform(0, 100, (300, 2)))
+    base = np.arange(300)
+    for tour, detail in ((np.where(base == 3, 300, base), "city 3 is missing"),
+                         (np.where(base == 7, 250, base), "city 7 is missing"),
+                         (base[1:], "city 0 is missing"),
+                         (np.r_[base, 5], "shape (301,)")):
+        with pytest.raises(InvalidPermutation) as exc:
+            tour_cost(tour, inst)
+        assert str(exc.value) == f"not a permutation of 0..299: {detail}"
+        assert len(str(exc.value)) <= 100
 
 
 def test_batch_costs_matches_scalar(square5):

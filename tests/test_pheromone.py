@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antbatch.model import PheromoneState, TAU_MIN, TourBatch
+from antbatch.model import InvalidPermutation, PheromoneState, TAU_MIN, TourBatch
 from antbatch.pheromone import (
     accumulate_increments,
     apply_update,
     edge_index_matrix,
-    increment_matrix,
     select_elite,
 )
 
@@ -54,10 +53,14 @@ def test_edge_index_matrix_pairs_each_city_with_predecessor():
 def test_edge_index_matrix_rejects_non_permutation():
     with pytest.raises(ValueError):
         edge_index_matrix(np.array([0, 1, 1]))
+    # the message names one city, not the whole 300-city tour
+    with pytest.raises(InvalidPermutation,
+                       match=r"^not a permutation of 0\.\.299: city 7 is missing$"):
+        edge_index_matrix(np.where(np.arange(300) == 7, 250, np.arange(300)))
 
 
 def test_increment_matrix_hand_case():
-    a = increment_matrix(np.array([0, 1, 2]), cost=4.0, n=3)
+    a = accumulate_increments([(np.array([0, 1, 2]), 4.0)], n=3)
     # every edge of the cycle carries 1/cost in both orientations
     expect = np.array([
         [0.0, 0.25, 0.25],
@@ -69,7 +72,7 @@ def test_increment_matrix_hand_case():
 
 def test_increment_matrix_has_2n_nonzeros():
     t = np.array([3, 0, 4, 1, 2])
-    a = increment_matrix(t, cost=10.0, n=5)
+    a = accumulate_increments([(t, 10.0)], n=5)
     assert np.count_nonzero(a) == 10
     assert np.array_equal(a, a.T)
 
@@ -82,7 +85,7 @@ def test_accumulate_equals_sum_of_increment_matrices():
     acc = accumulate_increments(elites, n)
     total = np.zeros((n, n))
     for tour, cost in elites:
-        total += increment_matrix(tour, cost, n)
+        total += accumulate_increments([(tour, cost)], n)
     assert np.array_equal(acc, total)
 
 

@@ -57,6 +57,15 @@ def test_start_cities_cover_range():
     assert np.array_equal(s, rng.start_cities(0, 4, 5000, 7))
 
 
+def test_start_cities_deterministic_and_in_range():
+    # the draw is the first integers() call on the (seed, START, iteration) stream
+    s1 = rng.start_cities(3, 0, 64, 7)
+    assert np.array_equal(s1, rng.start_cities(3, 0, 64, 7))
+    assert s1.min() >= 0 and s1.max() < 7
+    direct = rng.stream(3, rng.DOMAIN_START, 0).integers(0, 7, size=64, dtype=np.int64)
+    assert np.array_equal(s1, direct)
+
+
 def test_mc_stream_blocks_are_independent():
     a = rng.mc_stream(0, 0).standard_exponential(16)
     b = rng.mc_stream(0, 1).standard_exponential(16)
