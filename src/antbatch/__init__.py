@@ -55,9 +55,6 @@ from .pheromone import (
 from .selection import (
     AllZeroWeights,
     gamma_at,
-    select_adair,
-    select_ir,
-    select_rw,
 )
 from .tsplib import (
     BEST_KNOWN,
@@ -107,10 +104,7 @@ __all__ = [
     "run_experiment",
     "run_probability_shift_study",
     "run_scaling_study",
-    "select_adair",
     "select_elite",
-    "select_ir",
-    "select_rw",
     "serialize_instance",
     "tour_cost",
 ]

@@ -5,9 +5,11 @@ construction, elite deposit, evaporation and the next transition matrix.
 One iteration's randomness is addressed per construction step: step s draws
 one (m, n) deviate block covering every ant (rng module), so an ant's
 choices never depend on how the others are scheduled. The argmax mechanisms
-consume the full block through a single fused kernel; the roulette wheel
-consumes one threshold per ant (the uniform view of the block's first
-column) and runs all spins in lockstep through a row-wise prefix-sum kernel.
+consume the full block through ``selection.argmax_select_block``; the
+roulette wheel consumes one threshold per ant (the uniform view of the
+block's first column) and runs all spins in lockstep through
+``selection.rw_spin_block``, a row-wise prefix-sum kernel. These two kernels
+are the only vectorized implementations of the selection rules.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Reference implementations for tests and acceptance: exhaustive TSP
-search, a sequential scalar colony step, and Monte-Carlo selection
-estimation.
+search, a sequential scalar colony step, and a Monte-Carlo estimator of the
+selection kernels' distributions.
 
-Everything here favors auditability over speed: explicit loops, one ant,
+The references favor auditability over speed: explicit loops, one ant,
 one city, one edge at a time, plain Python floats in the inner loops. The
 sequential step consumes the same keyed random blocks as the batched
 pipeline (an ant's deviates are addressed by key, so both implementations
@@ -10,6 +10,9 @@ read identical values) and must reproduce the pipeline's tours bit for bit:
 Python floats are IEEE doubles, so a scalar running sum retraces cumsum's
 partial sums and a scalar strict-greater scan retraces argmax's
 first-of-ties choice, which is pinned by the numerics-assumption tests.
+
+The estimator is not a reference: it draws through the colony's selection
+kernels, so that the closed-form distribution checks measure those kernels.
 """
 
 from __future__ import annotations
@@ -29,7 +32,13 @@ from .model import (
     TourBatch,
     TspInstance,
 )
-from .selection import _check_weights, gamma_at, scaled_log_weights
+from .selection import (
+    AllZeroWeights,
+    argmax_select_block,
+    gamma_at,
+    rw_spin_block,
+    scaled_log_weights,
+)
 
 
 class InstanceTooLarge(ValueError):
@@ -221,45 +230,44 @@ def empirical_selection_distribution(mechanism, p, gamma: float | None = None,
 
     Returns counts/trials (a frequency vector summing to one). Trials are
     drawn in blocks keyed by block index, so the estimate for a given
-    (seed, trials) is deterministic and independent of block size.
+    (seed, trials) is deterministic and independent of block size. Each
+    block runs through the colony's own selection kernel, one trial per row
+    and every row reading the same weights with nothing visited, so the
+    estimate measures the code the colony runs. Raises ValueError for a
+    negative weight and AllZeroWeights when no weight is positive.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     mech = Selection(mechanism)
     w = np.asarray(p, dtype=np.float64)
-    _check_weights(w)
-    counts = np.zeros(w.size, dtype=np.int64)
-
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError(f"expected a non-empty vector, got shape {w.shape}")
+    if np.any(w < 0):
+        raise ValueError("weights must be non-negative")
+    if not np.any(w > 0):
+        raise AllZeroWeights("no positive weight to select from")
+    if mech is Selection.ADAIR and gamma is None:
+        raise ValueError("gamma is required for the adaptive mechanism")
+    n = w.size
     if mech is Selection.RW:
-        csum = np.cumsum(w)
-        total = csum[-1]
-        last_pos = int(np.flatnonzero(w)[-1])
-        done = 0
-        block = 0
-        while done < trials:
-            b = min(_BLOCK, trials - done)
-            u = rng.mc_stream(seed, block).random(b)
-            idx = np.searchsorted(csum, u * total, side="right")
-            idx[idx >= w.size] = last_pos
-            counts += np.bincount(idx, minlength=w.size)
-            done += b
-            block += 1
+        table = w[None]
     else:
-        if mech is Selection.ADAIR:
-            if gamma is None:
-                raise ValueError("gamma is required for the adaptive mechanism")
-            g = float(gamma)
+        table = scaled_log_weights(w, float(gamma) if mech is Selection.ADAIR else 1.0)[None]
+    counts = np.zeros(n, dtype=np.int64)
+    done = 0
+    block = 0
+    while done < trials:
+        b = min(_BLOCK, trials - done)
+        g = rng.mc_stream(seed, block)
+        rows = np.zeros(b, dtype=np.int64)
+        scratch = np.empty((b, n))
+        if mech is Selection.RW:
+            idx = rw_spin_block(table, rows, np.broadcast_to(1.0, (b, n)),
+                                g.random(b), scratch)
         else:
-            g = 1.0
-        logw = scaled_log_weights(w, g)
-        done = 0
-        block = 0
-        while done < trials:
-            b = min(_BLOCK, trials - done)
-            e = rng.mc_stream(seed, block).standard_exponential((b, w.size))
-            idx = np.argmax(logw[None, :] - e, axis=1)
-            counts += np.bincount(idx, minlength=w.size)
-            done += b
-            block += 1
-
+            idx = argmax_select_block(table, rows, g.standard_exponential((b, n)),
+                                      np.broadcast_to(False, (b, n)), scratch)
+        counts += np.bincount(idx, minlength=n)
+        done += b
+        block += 1
     return counts / trials

@@ -30,6 +30,15 @@ probability of picking index 0 is 1 - (p2/p1)**(1/gamma) / 2, which
 decreases from 1 - p2/(2 p1) at gamma = 1 toward 1/2 as gamma grows.
 Annealing gamma from above 1 down to 1 therefore starts runs exploratory
 and finishes them as plain IR.
+
+Each rule has exactly one vectorized implementation, a lockstep kernel over
+a block of rows: ``rw_spin_block`` for the wheel and ``argmax_select_block``
+for both argmax mechanisms. The colony calls them with one row per ant at
+every construction step, and the Monte-Carlo estimator
+(``oracle.empirical_selection_distribution``) with one row per trial, so the
+closed-form distribution checks measure the code the colony runs. The
+scalar loops of ``oracle.sequential_aco_step`` are the independent reference
+the kernels' picks must match bit for bit.
 """
 
 from __future__ import annotations
@@ -75,41 +84,19 @@ def scaled_log_weights(p: np.ndarray, gamma: float) -> np.ndarray:
     return logw
 
 
-# ---------------------------------------------------------------------------
-# Deterministic cores. These take their randomness as arguments so that the
-# lockstep pipeline, the sequential reference, and the public single-draw
-# operations all run the identical instruction sequence on identical inputs.
-# ---------------------------------------------------------------------------
-
-def rw_spin(weights: np.ndarray, u: float) -> int:
-    """One roulette spin: build the weights' CDF and invert it at u.
-
-    The prefix sums are normalized by the total, giving the cumulative
-    distribution of the (renormalized) weights; the spin returns the first
-    index whose CDF value strictly exceeds u. Zero-weight entries can never
-    be returned (their CDF step is empty). At u = 1 exactly, nothing
-    exceeds (the CDF tops out at exactly 1.0), and the last positive-weight
-    index wins.
-    """
-    cdf = np.cumsum(weights)
-    np.divide(cdf, cdf[-1], out=cdf)
-    j = int(np.searchsorted(cdf, u, side="right"))
-    if j >= weights.size:
-        j = int(np.flatnonzero(weights)[-1])
-    return j
-
-
 def rw_spin_block(p: np.ndarray, current: np.ndarray, unvisited_f: np.ndarray,
                   u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Lockstep roulette spins for all m ants at one construction step.
+    """Lockstep roulette spins, one per ant: the wheel's only implementation.
 
-    Gathers each ant's row of the transition matrix, zeroes visited cities,
+    Gathers each ant's row of the transition matrix, zeroes visited cities
+    (``unvisited_f`` is 0.0 at a visited city and 1.0 elsewhere),
     materializes the masked row's cumulative distribution (prefix sums over
     total), and picks the first index whose CDF value strictly exceeds that
-    ant's threshold. cumsum accumulates left to right and the quotients are
-    taken prefix by prefix exactly like rw_spin's, so each row's pick is
-    bit-identical to a scalar spin on the same masked row. ``scratch`` is a
-    caller-owned (m, n) buffer.
+    ant's threshold in ``u``. Zero-weight entries are never picked (their
+    CDF step is empty). cumsum accumulates left to right and the quotients
+    are taken prefix by prefix, so each pick is the one a scalar running sum
+    over the same masked row finds. ``scratch`` is a caller-owned (m, n)
+    buffer.
     """
     np.take(p, current, axis=0, out=scratch)
     np.multiply(scratch, unvisited_f, out=scratch)
@@ -118,8 +105,8 @@ def rw_spin_block(p: np.ndarray, current: np.ndarray, unvisited_f: np.ndarray,
     np.divide(scratch, total[:, None], out=scratch)
     nxt = (scratch > u[:, None]).argmax(axis=1)
     # u can reach 1.0 exactly (the threshold view of an underflowing
-    # deviate); those rows take the last positive-weight index, same as
-    # rw_spin's fallback
+    # deviate), which no CDF value exceeds since the CDF tops out at exactly
+    # 1.0; those rows take the last positive-weight index
     short = np.flatnonzero(scratch[:, -1] <= u)
     for a in short:
         row = p[current[a]] * unvisited_f[a]
@@ -127,73 +114,21 @@ def rw_spin_block(p: np.ndarray, current: np.ndarray, unvisited_f: np.ndarray,
     return nxt
 
 
-def argmax_select_row(logw_row: np.ndarray, e_row: np.ndarray,
-                      visited_row: np.ndarray | None = None) -> int:
-    """Perturbed-argmax choice for one ant: argmax(logw - e), visited barred.
-
-    Ties (probability zero in exact arithmetic, possible in floats) resolve
-    to the lowest index, matching numpy's argmax.
-    """
-    s = np.subtract(logw_row, e_row)
-    if visited_row is not None:
-        np.copyto(s, -np.inf, where=visited_row)
-    return int(np.argmax(s))
-
-
 def argmax_select_block(logw: np.ndarray, current: np.ndarray, e_block: np.ndarray,
                         visited: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Lockstep perturbed-argmax for all m ants at one construction step.
+    """Lockstep perturbed-argmax for all m ants: the only implementation of
+    independent roulette and of its adaptive variant.
 
     Gathers each ant's row of the log-weight table, subtracts that ant's
-    deviate row, bars visited cities, and reduces with a row argmax.
-    ``scores`` is a caller-owned (m, n) scratch buffer; the op sequence per
-    row is exactly argmax_select_row's.
+    deviate row, bars visited cities, and reduces with a row argmax. Ties
+    (probability zero in exact arithmetic, possible in floats) resolve to
+    the lowest index, matching numpy's argmax. ``scores`` is a caller-owned
+    (m, n) scratch buffer.
     """
     np.take(logw, current, axis=0, out=scores)
     np.subtract(scores, e_block, out=scores)
     np.copyto(scores, -np.inf, where=visited)
     return scores.argmax(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Public single-draw operations.
-# ---------------------------------------------------------------------------
-
-def _check_weights(w: np.ndarray) -> None:
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError(f"expected a non-empty vector, got shape {w.shape}")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    if not np.any(w > 0):
-        raise AllZeroWeights("no positive weight to select from")
-
-
-def select_rw(weights, rng_stream: np.random.Generator) -> int:
-    """Fitness-proportionate selection: index i with probability w[i]/sum(w)."""
-    w = np.asarray(weights, dtype=np.float64)
-    _check_weights(w)
-    return rw_spin(w, rng_stream.random())
-
-
-def select_ir(p, rng_stream: np.random.Generator) -> int:
-    """Independent roulette: argmax of elementwise r * p, r uniform on (0,1).
-
-    Zero-probability entries can never win (log-weight -inf).
-    """
-    return select_adair(p, 1.0, rng_stream)
-
-
-def select_adair(p, gamma: float, rng_stream: np.random.Generator) -> int:
-    """Adaptive independent roulette: argmax of r**gamma * p.
-
-    gamma = 1 is definitionally select_ir: same stream, same draws, same
-    arithmetic, bit-identical result.
-    """
-    w = np.asarray(p, dtype=np.float64)
-    _check_weights(w)
-    logw = scaled_log_weights(w, gamma)
-    e = rng_stream.standard_exponential(w.size)
-    return argmax_select_row(logw, e)
 
 
 def transformed_deviate_pdf(y: float, gamma: float) -> float:

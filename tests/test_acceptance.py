@@ -9,6 +9,8 @@ at the bottom of the file; the whole gate runs in minutes on one core.
 
 import math
 import os
+import statistics
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from scipy import stats
 
 from antbatch import rng
 from antbatch.bench import ExperimentConfig, run_experiment, run_scaling_study
-from antbatch.colony import compute_probability_matrix, construct_tours
+from antbatch.colony import compute_probability_matrix, construct_tours, iterate
 from antbatch.model import (
     AcoParams,
     GammaSchedule,
@@ -337,19 +339,33 @@ def test_parser_golden_files_and_error_paths():
 #     within 1.15x of independent roulette, which stays under the wheel.
 # ---------------------------------------------------------------------------
 
-def _mean_iter_ms(inst_path: str, mech: Selection, iters: int = 4) -> float:
-    cfg = ExperimentConfig(
-        params=AcoParams(m=442, k=44, selection=mech, max_iters=iters, seed=0),
-        instance_path=inst_path,
-    )
-    _, summaries = run_experiment(cfg)
-    return summaries[0].mean_ms_per_iter  # first iteration excluded
+def _interleaved_iter_ms(inst, mechs, iters: int = 4) -> dict:
+    """Median ms per colony.iterate call for each mechanism, first call dropped.
+
+    The colonies are built first and their iterations interleaved, the order
+    rotating each round, so that a change in machine speed during the test
+    slows every mechanism alike instead of whichever one runs at the time.
+    """
+    colonies = {}
+    for mech in mechs:
+        params = AcoParams(m=442, k=44, selection=mech, max_iters=iters, seed=0)
+        tau = PheromoneState.initial(inst.n, params.q0_tau)
+        colonies[mech] = (params, tau, compute_probability_matrix(tau, inst, params))
+    times = {mech: [] for mech in mechs}
+    for it in range(iters):
+        r = it % len(mechs)
+        for mech in mechs[r:] + mechs[:r]:
+            params, tau, prob = colonies[mech]
+            t0 = time.perf_counter()
+            _, tau, prob = iterate(tau, prob, inst, params, it)
+            times[mech].append((time.perf_counter() - t0) * 1e3)
+            colonies[mech] = (params, tau, prob)
+    return {mech: statistics.median(ts[1:]) for mech, ts in times.items()}
 
 
 def test_adaptive_overhead_within_bounds():
-    path = os.path.join(PKG_DATA, "rnd442.tsp")
-    ms = {mech: _mean_iter_ms(path, mech)
-          for mech in (Selection.IR, Selection.ADAIR, Selection.RW)}
+    ms = _interleaved_iter_ms(load_bundled("rnd442.tsp"),
+                              (Selection.IR, Selection.ADAIR, Selection.RW))
     ratio_ad = ms[Selection.ADAIR] / ms[Selection.IR]
     ok = ratio_ad <= 1.15 and ms[Selection.IR] <= ms[Selection.RW]
     report("adaptive-overhead", ok,

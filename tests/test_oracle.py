@@ -20,6 +20,7 @@ from antbatch.oracle import (
     sequential_increment_sum,
 )
 from antbatch.pheromone import accumulate_increments, apply_update, select_elite
+from antbatch.selection import AllZeroWeights
 
 from conftest import random_metric_instance
 
@@ -142,8 +143,28 @@ def test_empirical_rejects_unknown_mechanism_and_bad_weights():
     with pytest.raises(ValueError):
         empirical_selection_distribution("tournament", np.array([1.0]),
                                          trials=10, seed=0)
-    with pytest.raises(ValueError):
-        empirical_selection_distribution("rw", np.zeros(3), trials=10, seed=0)
+    for mech, gamma in (("rw", None), ("ir", None), ("adair", 1.5)):
+        with pytest.raises(AllZeroWeights):
+            empirical_selection_distribution(mech, np.zeros(4), gamma=gamma,
+                                             trials=10, seed=0)
+        with pytest.raises(ValueError, match="non-negative"):
+            empirical_selection_distribution(mech, np.array([0.5, -0.1]),
+                                             gamma=gamma, trials=10, seed=0)
+
+
+def test_empirical_frequencies_pinned():
+    # counts per 10^5 trials, recorded before the estimator drew through the
+    # colony's selection kernels; the kernels must reproduce them exactly
+    p = np.array([0.4, 0.3, 0.2, 0.1, 0.0])
+    pinned = {
+        ("rw", None): [39888, 29943, 20191, 9978, 0],
+        ("ir", None): [56694, 31537, 10736, 1033, 0],
+        ("adair", 1.5): [49782, 32287, 14944, 2987, 0],
+    }
+    for (mech, gamma), counts in pinned.items():
+        freq = empirical_selection_distribution(mech, p, gamma=gamma,
+                                                trials=10**5, seed=11)
+        assert np.array_equal(freq, np.array(counts) / 10**5), mech
 
 
 def test_empirical_weights_need_not_be_normalized():

@@ -8,17 +8,11 @@ from hypothesis import strategies as st
 from antbatch import rng
 from antbatch.model import GammaSchedule
 from antbatch.selection import (
-    AllZeroWeights,
     argmax_select_block,
-    argmax_select_row,
     gamma_at,
-    rw_spin,
     rw_spin_block,
     sample_transformed_deviates,
     scaled_log_weights,
-    select_adair,
-    select_ir,
-    select_rw,
     transformed_deviate_pdf,
 )
 
@@ -71,80 +65,65 @@ def test_scaled_log_weights_divides_by_gamma():
     assert np.array_equal(scaled_log_weights(p, 2.0), np.log(p) / 2.0)
 
 
-# roulette spin ---------------------------------------------------------------
+# roulette kernel -------------------------------------------------------------
+
+def _spin(w, u: float) -> int:
+    """One roulette spin through the kernel: a one-row block, nothing visited."""
+    w = np.asarray(w, dtype=np.float64)
+    return int(rw_spin_block(w[None], np.zeros(1, dtype=np.int64), np.ones((1, w.size)),
+                             np.array([u]), np.empty((1, w.size)))[0])
+
 
 def test_rw_spin_hand_cases():
     w = np.array([1.0, 0.0, 3.0])   # cdf [0.25, 0.25, 1.0]
-    assert rw_spin(w, 0.2) == 0
-    assert rw_spin(w, 0.25) == 2    # cdf value 0.25 does not strictly exceed
-    assert rw_spin(w, 0.9) == 2
+    assert _spin(w, 0.2) == 0
+    assert _spin(w, 0.25) == 2    # cdf value 0.25 does not strictly exceed
+    assert _spin(w, 0.9) == 2
 
 
 def test_rw_spin_never_selects_zero_weight():
     w = np.array([0.0, 1.0, 0.0])
-    for u in np.linspace(0.0, 0.999999, 37):
-        assert rw_spin(w, float(u)) == 1
+    u = np.linspace(0.0, 0.999999, 37)
+    m = u.size
+    got = rw_spin_block(w[None], np.zeros(m, dtype=np.int64), np.ones((m, 3)), u,
+                        np.empty((m, 3)))
+    assert np.all(got == 1)
 
 
 def test_rw_spin_threshold_at_total_falls_back_to_last_positive():
     # u arbitrarily close to 1 rounds to 1.0, which nothing in the CDF
     # strictly exceeds; the spin must still land on a positive weight
     w = np.array([0.3, 0.7, 0.0])
-    assert rw_spin(w, 1.0 - 1e-17) == 1
+    assert _spin(w, 1.0 - 1e-17) == 1
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_rw_spin_always_positive_weight(seed):
+    # m ants at once, each on its own row with its own visited mask
     g = np.random.default_rng(seed)
-    n = int(g.integers(2, 12))
-    w = g.uniform(0.0, 1.0, n) * (g.uniform(size=n) < 0.7)
-    if not w.any():
-        w[int(g.integers(0, n))] = 0.5
-    j = rw_spin(w, float(g.uniform()))
-    assert w[j] > 0.0
-
-
-# argmax selection cores ------------------------------------------------------
-
-def test_argmax_select_row_masks_visited():
-    logw = np.log(np.array([0.9, 0.05, 0.05]))
-    e = np.array([0.0, 5.0, 5.0])
-    assert argmax_select_row(logw, e) == 0
-    visited = np.array([True, False, False])
-    j = argmax_select_row(logw, e, visited)
-    assert j in (1, 2)
-
-
-def test_rw_spin_block_matches_scalar_spins():
-    g = np.random.default_rng(5)
-    m, n = 12, 7
-    p = g.uniform(0.05, 1.0, (n, n))
-    p /= p.sum(axis=1, keepdims=True)
-    current = g.integers(0, n, m)
+    m, n = int(g.integers(1, 9)), int(g.integers(2, 12))
+    p = g.uniform(0.0, 1.0, (m, n)) * (g.uniform(size=(m, n)) < 0.7)
     unvisited_f = (g.uniform(size=(m, n)) < 0.7).astype(float)
-    unvisited_f[np.arange(m), g.integers(0, n, m)] = 1.0  # keep a candidate
-    unvisited_f[np.arange(m), current] = 0.0
+    keep = g.integers(0, n, m)   # one positive, unvisited candidate per row
+    p[np.arange(m), keep] = 0.5
+    unvisited_f[np.arange(m), keep] = 1.0
     u = g.uniform(size=m)
-    scratch = np.empty((m, n))
-    got = rw_spin_block(p, current, unvisited_f, u, scratch)
-    for a in range(m):
-        assert got[a] == rw_spin(p[current[a]] * unvisited_f[a], u[a])
+    u[g.uniform(size=m) < 0.2] = 1.0 - 1e-17
+    got = rw_spin_block(p, np.arange(m), unvisited_f, u, np.empty((m, n)))
+    assert np.all(p[np.arange(m), got] * unvisited_f[np.arange(m), got] > 0.0)
 
 
-def test_argmax_select_block_matches_row_calls():
-    g = np.random.default_rng(3)
-    m, n = 8, 6
-    p = g.uniform(0.1, 1.0, (n, n))
-    logw = np.log(p)
-    current = g.integers(0, n, m)
-    e = g.standard_exponential((m, n))
-    visited = g.uniform(size=(m, n)) < 0.3
-    visited[np.arange(m), current] = True
-    scores = np.empty((m, n))
-    got = argmax_select_block(logw, current, e, visited, scores)
-    for a in range(m):
-        assert got[a] == argmax_select_row(logw[current[a]], e[a], visited[a])
+# argmax kernel ---------------------------------------------------------------
+
+def test_argmax_select_block_masks_visited():
+    logw = np.log(np.array([[0.9, 0.05, 0.05]]))
+    e = np.array([[0.0, 5.0, 5.0]] * 2)
+    visited = np.array([[False, False, False], [True, False, False]])
+    got = argmax_select_block(logw, np.zeros(2, dtype=np.int64), e, visited,
+                              np.empty((2, 3)))
+    assert got[0] == 0
+    assert got[1] in (1, 2)
 
 
 def test_power_domain_and_log_domain_agree():
@@ -158,48 +137,10 @@ def test_power_domain_and_log_domain_agree():
             e = g.standard_exponential(n)
             r = np.exp(-e)
             power_idx = int(np.argmax(np.power(r, gamma) * p))
-            log_idx = argmax_select_row(scaled_log_weights(p, gamma), e)
+            log_idx = argmax_select_block(scaled_log_weights(p, gamma)[None],
+                                          np.zeros(1, dtype=np.int64), e[None],
+                                          np.zeros((1, n), dtype=bool), np.empty((1, n)))[0]
             assert power_idx == log_idx
-
-
-# public one-shot selectors ---------------------------------------------------
-
-def test_select_rw_follows_weights_roughly():
-    p = np.array([0.7, 0.2, 0.1])
-    g = rng.stream(0, rng.DOMAIN_MC, 999)
-    counts = np.zeros(3)
-    for _ in range(20_000):
-        counts[select_rw(p, g)] += 1
-    freq = counts / counts.sum()
-    assert np.allclose(freq, p, atol=0.02)
-
-
-def test_select_ir_is_greedier_than_rw():
-    p = np.array([0.75, 0.25])
-    g = rng.stream(1, rng.DOMAIN_MC, 998)
-    hits = sum(select_ir(p, g) == 0 for _ in range(20_000))
-    # closed form: 1 - p2/(2 p1) = 5/6
-    assert hits / 20_000 == pytest.approx(5.0 / 6.0, abs=0.02)
-
-
-def test_select_adair_gamma_one_matches_ir_bitwise():
-    p = np.array([0.4, 0.35, 0.25])
-    for trial in range(200):
-        a = select_ir(p, rng.stream(7, rng.DOMAIN_MC, trial))
-        b = select_adair(p, 1.0, rng.stream(7, rng.DOMAIN_MC, trial))
-        assert a == b
-
-
-def test_selectors_reject_bad_weights():
-    g = rng.stream(0, rng.DOMAIN_MC, 0)
-    with pytest.raises(AllZeroWeights):
-        select_rw(np.zeros(4), g)
-    with pytest.raises(AllZeroWeights):
-        select_ir(np.zeros(4), g)
-    with pytest.raises(AllZeroWeights):
-        select_adair(np.zeros(4), 1.5, g)
-    with pytest.raises(ValueError):
-        select_rw(np.array([0.5, -0.1]), g)
 
 
 # transformed deviate distribution --------------------------------------------
