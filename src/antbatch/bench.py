@@ -32,17 +32,12 @@ from .model import (
     build_instance,
 )
 from .oracle import sequential_aco_step
-from .selection import gamma_at, scaled_log_weights
+from .selection import argmax_select_block, gamma_at, scaled_log_weights
 from .tsplib import RawTspFile, parse_instance, serialize_instance
 
 # Within 0.1% of a run's final best cost counts as converged; the first
 # iteration inside that band is the run's convergence generation.
 CONVERGENCE_BAND = 1e-3
-
-ITER_COLUMNS = [
-    "run_id", "seed", "iteration", "wall_clock_ms", "iteration_best_cost",
-    "best_cost_so_far", "solution_error_percent", "gamma", "rho",
-]
 
 SCALING_COLUMNS = [
     "instance", "n", "m", "mode", "selection", "repetitions", "iterations",
@@ -107,6 +102,9 @@ class IterationRecord:
     solution_error_percent: float | None
     gamma: float | None
     rho: float
+
+
+ITER_COLUMNS = [f.name for f in fields(IterationRecord)]
 
 
 @dataclass(frozen=True)
@@ -221,7 +219,7 @@ def run_experiment(config: ExperimentConfig, inst: TspInstance | None = None,
         summaries.append(RunSummary(
             run_id=run_id, seed=params.seed, iterations_run=len(iter_ms),
             final_best_cost=best_so_far,
-            solution_error_percent=(100.0 * (best_so_far - bk) / bk) if bk else None,
+            solution_error_percent=records[-1].solution_error_percent,
             convergence_generation=_convergence_generation(best_trace),
             mean_ms_per_iter=float(np.mean(measured)),
             terminated_by=terminated_by,
@@ -294,7 +292,8 @@ def run_scaling_study(instances: list[TspInstance], population_sizes: list[int],
                 rows.append(row)
                 if cell_mode == "sequential" and budget_ms is not None:
                     probe_m = max(1, min(32, m // 100))
-                    probe = replace(base, m=probe_m, k=max(1, probe_m // 10))
+                    probe = AcoParams.for_instance(inst.n, m=probe_m,
+                                                   selection=selection, seed=seed)
                     probe_ms = _time_sequential_cell(inst, probe, 1, clock)[0]
                     if probe_ms * (m / probe_m) > budget_ms:
                         row["status"] = "exceeded_budget"
@@ -343,9 +342,11 @@ def run_probability_shift_study(inst: TspInstance, params: AcoParams,
         target = int(np.argmax(row))
         p_max = float(row[target])
 
-        logw = scaled_log_weights(row, gamma)
         e = rng.mc_stream(params.seed, it).standard_exponential((trials, inst.n))
-        hits = int(np.count_nonzero(np.argmax(logw[None, :] - e, axis=1) == target))
+        picks = argmax_select_block(scaled_log_weights(row, gamma)[None],
+                                    np.zeros(trials, dtype=np.int64), e,
+                                    np.broadcast_to(False, e.shape), np.empty(e.shape))
+        hits = int(np.count_nonzero(picks == target))
 
         rows.append({
             "iteration": it, "gamma": gamma, "p_max": p_max,
@@ -369,10 +370,7 @@ def _fmt(v) -> str:
 
 def write_records_csv(records: list[IterationRecord], out) -> None:
     """Per-iteration CSV with the fixed ITER_COLUMNS order."""
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(ITER_COLUMNS)
-    for r in records:
-        w.writerow([_fmt(getattr(r, c)) for c in ITER_COLUMNS])
+    write_dict_csv([asdict(r) for r in records], ITER_COLUMNS, out)
 
 
 def write_dict_csv(rows: list[dict], columns: list[str], out) -> None:

@@ -28,7 +28,7 @@ from .bench import (
     write_dict_csv,
     write_records_csv,
 )
-from .model import AcoParams, GammaSchedule, Selection
+from .model import AcoParams, GammaSchedule, Selection, TspInstance
 from .tsplib import parse_instance
 
 # Time-limited runs still need an iteration cap for record bookkeeping.
@@ -150,16 +150,31 @@ def _overlay(args, params: AcoParams) -> AcoParams:
 
 
 def _default_params(args, default_iters: int) -> AcoParams:
-    """Defaults for the instance: m = n ants unless --ants is given, k =
-    m/10, --iters or ``default_iters`` iterations, and one gamma cycle over
-    them."""
+    """Defaults for the instance: --ants ants, or one per city without it,
+    with k = m/10 as ``AcoParams.for_instance`` sizes them, --iters or
+    ``default_iters`` iterations, and one gamma cycle over them."""
     max_iters = args.iters if args.iters is not None else default_iters
     m = args.ants
     if m is None:
         with open(args.instance, "r", encoding="utf-8") as f:
             m = parse_instance(f.read()).dimension
-    return AcoParams(m=m, k=max(1, m // 10), max_iters=max_iters,
-                     gamma_schedule=GammaSchedule(period=max_iters))
+    return AcoParams.for_instance(m, max_iters=max_iters,
+                                  gamma_schedule=GammaSchedule(period=max_iters))
+
+
+def _run_and_write(config: ExperimentConfig, inst: TspInstance) -> tuple[list, list]:
+    """Run ``config`` on ``inst`` and write its records CSV (to stdout when
+    it names no output path) and, when it names one, its summary JSON."""
+    records, summaries = run_experiment(config, inst)
+    if config.output_path:
+        with _open_out(config.output_path, newline="") as f:
+            write_records_csv(records, f)
+    else:
+        write_records_csv(records, sys.stdout)
+    if config.summary_path:
+        with _open_out(config.summary_path) as f:
+            f.write(summary_json_text(config, inst, summaries))
+    return records, summaries
 
 
 def _cmd_solve(args) -> int:
@@ -176,17 +191,7 @@ def _cmd_solve(args) -> int:
                      synthetic=None, lenient=args.lenient or base.lenient,
                      **_given(args, _CONFIG_FLAGS))
 
-    inst = load_instance(config)
-    records, summaries = run_experiment(config, inst)
-
-    if config.output_path:
-        with _open_out(config.output_path, newline="") as f:
-            write_records_csv(records, f)
-    else:
-        write_records_csv(records, sys.stdout)
-    if config.summary_path:
-        with _open_out(config.summary_path) as f:
-            f.write(summary_json_text(config, inst, summaries))
+    records, summaries = _run_and_write(config, load_instance(config))
     if config.output_path:
         best = min(s.final_best_cost for s in summaries)
         err = min((s.solution_error_percent for s in summaries
@@ -239,11 +244,7 @@ def _cmd_convergence(args) -> int:
             output_path=f"{args.out_prefix}_{mech.value}.csv",
             summary_path=f"{args.out_prefix}_{mech.value}.json",
         )
-        records, summaries = run_experiment(config, inst)
-        with _open_out(config.output_path, newline="") as f:
-            write_records_csv(records, f)
-        with _open_out(config.summary_path) as f:
-            f.write(summary_json_text(config, inst, summaries))
+        _, summaries = _run_and_write(config, inst)
         convs = sorted(s.convergence_generation for s in summaries)
         finals = sorted(s.final_best_cost for s in summaries)
         report.append((mech.value, convs[len(convs) // 2],

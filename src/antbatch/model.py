@@ -217,10 +217,9 @@ class AcoParams:
 
 @dataclass(frozen=True, eq=False)
 class PheromoneState:
-    """Pheromone matrix tau plus the iteration counter it belongs to."""
+    """Pheromone matrix tau, one entry per directed city pair."""
 
     tau: np.ndarray
-    iteration: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "tau", _frozen(np.asarray(self.tau, dtype=np.float64)))
@@ -229,7 +228,7 @@ class PheromoneState:
     def initial(cls, n: int, q0_tau: float) -> "PheromoneState":
         tau = np.full((n, n), float(q0_tau))
         np.fill_diagonal(tau, 0.0)
-        return cls(tau=tau, iteration=0)
+        return cls(tau=tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,21 +259,6 @@ class TourBatch:
     @property
     def n(self) -> int:
         return self.tours.shape[1]
-
-    def validate(self, inst: TspInstance) -> None:
-        """Check the batch invariants; raises on violation."""
-        m, n = self.tours.shape
-        if n != inst.n:
-            raise InvalidPermutation(f"tours have {n} cities, instance has {inst.n}")
-        expect = np.arange(n)
-        for a in range(m):
-            if not np.array_equal(np.sort(self.tours[a]), expect):
-                raise InvalidPermutation(f"ant {a}'s tour is not a permutation")
-            c = tour_cost(self.tours[a], inst)
-            if c != self.costs[a]:
-                raise InvalidPermutation(
-                    f"ant {a}'s recorded cost {self.costs[a]} != recomputed {c}"
-                )
 
 
 def _check_permutation(tour: np.ndarray, n: int) -> None:

@@ -81,7 +81,6 @@ def brute_force_tsp(inst: TspInstance) -> BruteForceResult:
         if c < best_cost:
             best_cost = c
             best = perm
-    assert best is not None
     return BruteForceResult(best_tour=(0, *best), best_cost=best_cost,
                             tours_enumerated=count)
 
@@ -217,8 +216,7 @@ def sequential_aco_step(tau: PheromoneState, inst: TspInstance, params: AcoParam
             v = keep * tau.tau[i, j] + delta[i, j]
             new_tau[i, j] = v if v > TAU_MIN else TAU_MIN
 
-    return (TourBatch(tours=tours, costs=costs),
-            PheromoneState(tau=new_tau, iteration=tau.iteration + 1))
+    return TourBatch(tours=tours, costs=costs), PheromoneState(tau=new_tau)
 
 
 _BLOCK = 1 << 16

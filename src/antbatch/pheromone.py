@@ -63,10 +63,10 @@ def apply_update(tau: PheromoneState, delta: np.ndarray, rho: float) -> Pheromon
     The floor keeps every entry strictly positive so transition-matrix rows
     can never lose their normalizer to decay alone. delta must be symmetric
     and non-negative (trusted); symmetry of tau is preserved exactly since
-    the update is elementwise. The iteration counter advances by one.
+    the update is elementwise.
     """
     if not 0 <= rho < 1:
         raise ValueError(f"rho must be in [0, 1), got {rho}")
     new_tau = (1.0 - rho) * tau.tau + delta
     np.maximum(new_tau, TAU_MIN, out=new_tau)
-    return PheromoneState(tau=new_tau, iteration=tau.iteration + 1)
+    return PheromoneState(tau=new_tau)

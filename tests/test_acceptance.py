@@ -79,7 +79,7 @@ def test_deposit_accumulation_matches_edge_loop():
         assert np.array_equal(acc, sequential_increment_sum(elites, n))
 
         rho = float(g.uniform(0.05, 0.5))
-        tau_vec = PheromoneState(tau=g.uniform(0.5, 2.0, (n, n)), iteration=0)
+        tau_vec = PheromoneState(tau=g.uniform(0.5, 2.0, (n, n)))
         tau_ref = tau_vec.tau.copy()
         for _ in range(5):
             tau_vec = apply_update(tau_vec, acc, rho)
@@ -138,7 +138,7 @@ def test_transition_matrix_rows_and_scalar_reference():
     for _ in range(100):
         n = int(g.integers(5, 31))
         inst = euclidean_instance(g.uniform(1.0, 1000.0, size=(n, 2)))
-        tau = PheromoneState(tau=g.uniform(0.1, 5.0, (n, n)), iteration=0)
+        tau = PheromoneState(tau=g.uniform(0.1, 5.0, (n, n)))
         params = AcoParams(m=2, k=1, alpha=float(g.uniform(0.5, 3.0)),
                            beta=float(g.uniform(0.0, 5.0)))
         p = compute_probability_matrix(tau, inst, params).p

@@ -9,7 +9,6 @@ from antbatch.model import (
     PheromoneState,
     Selection,
     TAU_MIN,
-    TourBatch,
     batch_costs,
     build_instance,
     euclidean_instance,
@@ -119,7 +118,6 @@ def test_for_instance_defaults():
 def test_pheromone_initial_state():
     tau = PheromoneState.initial(6, 2.5)
     assert tau.tau.shape == (6, 6)
-    assert tau.iteration == 0
     assert np.all(np.diag(tau.tau) == 0.0)
     off = ~np.eye(6, dtype=bool)
     assert np.all(tau.tau[off] == 2.5)
@@ -159,16 +157,6 @@ def test_batch_costs_matches_scalar(square5):
     costs = batch_costs(tours, square5)
     for a in range(8):
         assert costs[a] == pytest.approx(tour_cost(tours[a], square5))
-
-
-def test_tour_batch_validate(square5):
-    tours = np.stack([np.arange(5), np.arange(5)])
-    tb = TourBatch(tours=tours, costs=batch_costs(tours, square5))
-    tb.validate(square5)
-    bad = TourBatch(tours=np.array([[0, 1, 2, 3, 3]]),
-                    costs=np.array([1.0]))
-    with pytest.raises(InvalidPermutation):
-        bad.validate(square5)
 
 
 def test_integer_grid_instances_have_integer_costs():

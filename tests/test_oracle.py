@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from antbatch.colony import compute_probability_matrix, construct_tours
+from antbatch.colony import compute_probability_matrix, iterate
 from antbatch.model import (
     AcoParams,
     PheromoneState,
@@ -19,7 +19,7 @@ from antbatch.oracle import (
     sequential_aco_step,
     sequential_increment_sum,
 )
-from antbatch.pheromone import accumulate_increments, apply_update, select_elite
+from antbatch.pheromone import accumulate_increments
 from antbatch.selection import AllZeroWeights
 
 from conftest import random_metric_instance
@@ -72,7 +72,7 @@ def test_brute_force_size_cap():
 def test_scalar_probability_reference_close_to_vectorized():
     g = np.random.default_rng(2)
     inst = random_metric_instance(g, 9)
-    tau = PheromoneState(tau=g.uniform(0.2, 3.0, (9, 9)), iteration=0)
+    tau = PheromoneState(tau=g.uniform(0.2, 3.0, (9, 9)))
     params = AcoParams(m=4, k=1, alpha=1.3, beta=2.4)
     ref = scalar_probability_reference(tau, inst, params)
     vec = compute_probability_matrix(tau, inst, params).p
@@ -95,19 +95,13 @@ def test_sequential_step_matches_pipeline(mech):
     inst = random_metric_instance(np.random.default_rng(10), 7)
     params = AcoParams(m=5, k=2, selection=mech, seed=42)
     tau = PheromoneState.initial(7, 1.0)
+    prob = compute_probability_matrix(tau, inst, params)
     for it in range(3):
-        prob = compute_probability_matrix(tau, inst, params)
-        batch = construct_tours(prob, inst, params, it)
-        elites = select_elite(batch, params.k)
-        delta = accumulate_increments(elites, inst.n)
-        tau_pipe = apply_update(tau, delta, params.rho)
-
         oracle_batch, tau_oracle = sequential_aco_step(tau, inst, params, it)
+        batch, tau, prob = iterate(tau, prob, inst, params, it)
         assert np.array_equal(batch.tours, oracle_batch.tours)
         assert np.array_equal(batch.costs, oracle_batch.costs)
-        assert np.allclose(tau_pipe.tau, tau_oracle.tau, rtol=1e-12, atol=0.0)
-        assert tau_oracle.iteration == tau_pipe.iteration == it + 1
-        tau = tau_pipe
+        assert np.allclose(tau.tau, tau_oracle.tau, rtol=1e-12, atol=0.0)
 
 
 # Monte-Carlo selection distributions ------------------------------------------

@@ -111,31 +111,28 @@ def test_accumulate_is_symmetric_nonnegative(seed, n, k):
 # update ----------------------------------------------------------------------
 
 def test_apply_update_formula():
-    tau0 = PheromoneState(tau=np.full((3, 3), 2.0) - 2.0 * np.eye(3),
-                          iteration=4)
+    tau0 = PheromoneState(tau=np.full((3, 3), 2.0) - 2.0 * np.eye(3))
     delta = np.array([
         [0.0, 0.5, 0.0],
         [0.5, 0.0, 0.0],
         [0.0, 0.0, 0.0],
     ])
     out = apply_update(tau0, delta, rho=0.25)
-    assert out.iteration == 5
     assert out.tau[0, 1] == 2.0 * 0.75 + 0.5
     assert out.tau[0, 2] == 1.5
     # input state untouched
     assert tau0.tau[0, 1] == 2.0
-    assert tau0.iteration == 4
 
 
 def test_apply_update_floors_at_tau_min():
-    tau0 = PheromoneState(tau=np.full((3, 3), TAU_MIN) * 2.0, iteration=0)
+    tau0 = PheromoneState(tau=np.full((3, 3), TAU_MIN) * 2.0)
     out = apply_update(tau0, np.zeros((3, 3)), rho=0.999)
     off = ~np.eye(3, dtype=bool)
     assert np.all(out.tau[off] == TAU_MIN)
 
 
 def test_apply_update_validates_rho():
-    tau0 = PheromoneState(tau=np.ones((3, 3)), iteration=0)
+    tau0 = PheromoneState(tau=np.ones((3, 3)))
     for rho in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError):
             apply_update(tau0, np.zeros((3, 3)), rho=rho)
@@ -146,7 +143,7 @@ def test_apply_update_validates_rho():
 def test_apply_update_keeps_tau_positive(seed):
     g = np.random.default_rng(seed)
     n = int(g.integers(4, 12))
-    tau0 = PheromoneState(tau=g.uniform(TAU_MIN, 2.0, (n, n)), iteration=0)
+    tau0 = PheromoneState(tau=g.uniform(TAU_MIN, 2.0, (n, n)))
     elites = [(g.permutation(n), float(g.uniform(1.0, 9.0)))]
     out = apply_update(tau0, accumulate_increments(elites, n),
                        rho=float(g.uniform(0.01, 0.99)))
