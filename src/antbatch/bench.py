@@ -426,11 +426,15 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         raise ValueError(f"bad config value: {e}") from None
 
 
+def median_outcomes(summaries: list[RunSummary]) -> dict:
+    """Median final best cost and convergence generation over the runs."""
+    return {f"median_{key}": float(np.median([getattr(s, key) for s in summaries]))
+            for key in ("final_best_cost", "convergence_generation")}
+
+
 def summary_json_text(config: ExperimentConfig, inst: TspInstance,
                       summaries: list[RunSummary]) -> str:
     """One JSON document per experiment: config echo plus aggregates."""
-    finals = [s.final_best_cost for s in summaries]
-    convs = [s.convergence_generation for s in summaries]
     doc = {
         "config": config_to_dict(config),
         "instance": {
@@ -440,8 +444,7 @@ def summary_json_text(config: ExperimentConfig, inst: TspInstance,
         },
         "runs": [asdict(s) for s in summaries],
         "aggregate": {
-            "median_final_best_cost": float(np.median(finals)),
-            "median_convergence_generation": float(np.median(convs)),
+            **median_outcomes(summaries),
             "mean_ms_per_iter": float(np.mean([s.mean_ms_per_iter for s in summaries])),
             "cpu_count": os.cpu_count(),
         },

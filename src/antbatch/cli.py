@@ -21,6 +21,7 @@ from .bench import (
     SHIFT_COLUMNS,
     config_from_dict,
     load_instance,
+    median_outcomes,
     run_experiment,
     run_probability_shift_study,
     run_scaling_study,
@@ -245,13 +246,11 @@ def _cmd_convergence(args) -> int:
             summary_path=f"{args.out_prefix}_{mech.value}.json",
         )
         _, summaries = _run_and_write(config, inst)
-        convs = sorted(s.convergence_generation for s in summaries)
-        finals = sorted(s.final_best_cost for s in summaries)
-        report.append((mech.value, convs[len(convs) // 2],
-                       finals[len(finals) // 2]))
+        report.append((mech.value, median_outcomes(summaries)))
     print("mechanism,median_convergence_generation,median_final_best_cost")
-    for mech, conv, final in report:
-        print(f"{mech},{conv},{final!r}")
+    for mech, med in report:
+        print(f"{mech},{med['median_convergence_generation']!r},"
+              f"{med['median_final_best_cost']!r}")
     return 0
 
 

@@ -9,7 +9,8 @@ consume the full block through ``selection.argmax_select_block``; the
 roulette wheel consumes one threshold per ant (the uniform view of the
 block's first column) and runs all spins in lockstep through
 ``selection.rw_spin_block``, a row-wise prefix-sum kernel. These two kernels
-are the only vectorized implementations of the selection rules.
+are the only vectorized implementations of the selection rules; they take
+the same arguments, so every mechanism runs one step on one visited mask.
 """
 
 from __future__ import annotations
@@ -67,13 +68,19 @@ def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
     transition matrix restricted to unvisited cities (masked and
     renormalized; for the argmax mechanisms the renormalizer is a per-row
     constant and drops out of the argmax, the wheel materializes the masked
-    row's CDF). Raises RevisitedCity when a selector returns a city its ant
+    row's CDF); the mechanism only picks the table, draw and kernel every
+    step uses. Raises RevisitedCity when a selector returns a city its ant
     has already visited, which happens only when every unvisited city of
     the ant's row has zero weight.
     """
     n, m = inst.n, params.m
-    mech = params.selection
-    gamma = gamma_at(iteration, params.gamma_schedule) if mech is Selection.ADAIR else 1.0
+    if params.selection is Selection.RW:
+        table, draw, kernel = p.p, rng.step_uniforms, rw_spin_block
+    else:
+        gamma = (gamma_at(iteration, params.gamma_schedule)
+                 if params.selection is Selection.ADAIR else 1.0)
+        table = scaled_log_weights(p.p, gamma)
+        draw, kernel = rng.step_exponentials, argmax_select_block
 
     current = rng.start_cities(params.seed, iteration, m, n)
     rows = np.arange(m)
@@ -81,22 +88,11 @@ def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
     visited[rows, current] = True
     tours = np.empty((m, n), dtype=np.int64)
     tours[:, 0] = current
-
-    if mech is Selection.RW:
-        unvisited_f = np.ones((m, n))
-        unvisited_f[rows, current] = 0.0
-    else:
-        logw = scaled_log_weights(p.p, gamma)
-    scores = np.empty((m, n))
+    scratch = np.empty((m, n))
 
     for step in range(1, n):
-        if mech is Selection.RW:
-            u = rng.step_uniforms(params.seed, iteration, step, m, n)
-            nxt = rw_spin_block(p.p, current, unvisited_f, u, scores)
-            unvisited_f[rows, nxt] = 0.0
-        else:
-            e_block = rng.step_exponentials(params.seed, iteration, step, m, n)
-            nxt = argmax_select_block(logw, current, e_block, visited, scores)
+        nxt = kernel(table, current, draw(params.seed, iteration, step, m, n),
+                     visited, scratch)
         revisits = visited[rows, nxt]
         if revisits.any():
             a = int(np.argmax(revisits))

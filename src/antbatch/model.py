@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tsplib import RawTspFile, distance
+from .tsplib import BEST_KNOWN, RawTspFile, distance_matrix
 
 TAU_MIN = 1e-12
 ETA_CLAMP = 1e-10
@@ -106,16 +106,7 @@ def build_instance(raw: RawTspFile, best_known: float | None = None,
     unless ``lenient``, in which case eta uses a clamped distance of 1e-10.
     If ``best_known`` is None the bundled optima table is consulted by name.
     """
-    from .tsplib import BEST_KNOWN
-
-    n = raw.dimension
-    pts = [(x, y) for _, x, y in raw.node_coords]
-    dist = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(distance(pts[i], pts[j], raw.edge_weight_type))
-            dist[i, j] = d
-            dist[j, i] = d
+    dist = distance_matrix([(x, y) for _, x, y in raw.node_coords], raw.edge_weight_type)
     if best_known is None:
         best_known = BEST_KNOWN.get(raw.name)
     return _instance_from_dist(dist, best_known, raw.name, lenient)

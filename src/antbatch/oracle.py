@@ -257,14 +257,12 @@ def empirical_selection_distribution(mechanism, p, gamma: float | None = None,
     while done < trials:
         b = min(_BLOCK, trials - done)
         g = rng.mc_stream(seed, block)
-        rows = np.zeros(b, dtype=np.int64)
-        scratch = np.empty((b, n))
         if mech is Selection.RW:
-            idx = rw_spin_block(table, rows, np.broadcast_to(1.0, (b, n)),
-                                g.random(b), scratch)
+            kernel, deviates = rw_spin_block, g.random(b)
         else:
-            idx = argmax_select_block(table, rows, g.standard_exponential((b, n)),
-                                      np.broadcast_to(False, (b, n)), scratch)
+            kernel, deviates = argmax_select_block, g.standard_exponential((b, n))
+        idx = kernel(table, np.zeros(b, dtype=np.int64), deviates,
+                     np.broadcast_to(False, (b, n)), np.empty((b, n)))
         counts += np.bincount(idx, minlength=n)
         done += b
         block += 1

@@ -33,8 +33,9 @@ and finishes them as plain IR.
 
 Each rule has exactly one vectorized implementation, a lockstep kernel over
 a block of rows: ``rw_spin_block`` for the wheel and ``argmax_select_block``
-for both argmax mechanisms. The colony calls them with one row per ant at
-every construction step, and the Monte-Carlo estimator
+for both argmax mechanisms, with the same arguments (a bool ``visited``
+mask bars cities). The colony calls them with one row per ant at every
+construction step, and the Monte-Carlo estimator
 (``oracle.empirical_selection_distribution``) with one row per trial, so the
 closed-form distribution checks measure the code the colony runs. The
 scalar loops of ``oracle.sequential_aco_step`` are the independent reference
@@ -84,51 +85,49 @@ def scaled_log_weights(p: np.ndarray, gamma: float) -> np.ndarray:
     return logw
 
 
-def rw_spin_block(p: np.ndarray, current: np.ndarray, unvisited_f: np.ndarray,
-                  u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def rw_spin_block(table: np.ndarray, current: np.ndarray, deviates: np.ndarray,
+                  visited: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Lockstep roulette spins, one per ant: the wheel's only implementation.
 
-    Gathers each ant's row of the transition matrix, zeroes visited cities
-    (``unvisited_f`` is 0.0 at a visited city and 1.0 elsewhere),
+    Takes the arguments of ``argmax_select_block``, with the transition
+    matrix as ``table`` and one uniform threshold per ant as ``deviates``.
+    Gathers each ant's row, zeroes the cities ``visited`` marks,
     materializes the masked row's cumulative distribution (prefix sums over
     total), and picks the first index whose CDF value strictly exceeds that
-    ant's threshold in ``u``. Zero-weight entries are never picked (their
-    CDF step is empty). cumsum accumulates left to right and the quotients
-    are taken prefix by prefix, so each pick is the one a scalar running sum
-    over the same masked row finds. ``scratch`` is a caller-owned (m, n)
-    buffer.
+    ant's threshold. Zero-weight entries are never picked (their CDF step
+    is empty). cumsum accumulates left to right and the quotients are taken
+    prefix by prefix, so each pick is the one a scalar running sum over the
+    same masked row finds. ``scratch`` is a caller-owned (m, n) buffer.
     """
-    np.take(p, current, axis=0, out=scratch)
-    np.multiply(scratch, unvisited_f, out=scratch)
+    np.take(table, current, axis=0, out=scratch)
+    np.multiply(scratch, ~visited, out=scratch)
     np.cumsum(scratch, axis=1, out=scratch)
     total = scratch[:, -1].copy()
     np.divide(scratch, total[:, None], out=scratch)
-    nxt = (scratch > u[:, None]).argmax(axis=1)
-    # u can reach 1.0 exactly (the threshold view of an underflowing
+    nxt = (scratch > deviates[:, None]).argmax(axis=1)
+    # a threshold can reach 1.0 exactly (the uniform view of an underflowing
     # deviate), which no CDF value exceeds since the CDF tops out at exactly
     # 1.0; those rows take the last positive-weight index
-    short = np.flatnonzero(scratch[:, -1] <= u)
-    for a in short:
-        row = p[current[a]] * unvisited_f[a]
-        nxt[a] = np.flatnonzero(row)[-1]
+    for a in np.flatnonzero(scratch[:, -1] <= deviates):
+        nxt[a] = np.flatnonzero(table[current[a]] * ~visited[a])[-1]
     return nxt
 
 
-def argmax_select_block(logw: np.ndarray, current: np.ndarray, e_block: np.ndarray,
-                        visited: np.ndarray, scores: np.ndarray) -> np.ndarray:
+def argmax_select_block(table: np.ndarray, current: np.ndarray, deviates: np.ndarray,
+                        visited: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Lockstep perturbed-argmax for all m ants: the only implementation of
     independent roulette and of its adaptive variant.
 
-    Gathers each ant's row of the log-weight table, subtracts that ant's
-    deviate row, bars visited cities, and reduces with a row argmax. Ties
-    (probability zero in exact arithmetic, possible in floats) resolve to
-    the lowest index, matching numpy's argmax. ``scores`` is a caller-owned
-    (m, n) scratch buffer.
+    Gathers each ant's row of the log-weight ``table``, subtracts that ant's
+    row of Exp(1) ``deviates``, bars the cities ``visited`` marks, and
+    reduces with a row argmax. Ties (probability zero in exact arithmetic,
+    possible in floats) resolve to the lowest index, matching numpy's
+    argmax. ``scratch`` is a caller-owned (m, n) buffer.
     """
-    np.take(logw, current, axis=0, out=scores)
-    np.subtract(scores, e_block, out=scores)
-    np.copyto(scores, -np.inf, where=visited)
-    return scores.argmax(axis=1)
+    np.take(table, current, axis=0, out=scratch)
+    np.subtract(scratch, deviates, out=scratch)
+    np.copyto(scratch, -np.inf, where=visited)
+    return scratch.argmax(axis=1)
 
 
 def transformed_deviate_pdf(y: float, gamma: float) -> float:

@@ -7,15 +7,16 @@ one: ``KEYWORD : value`` header lines in any order, a coordinate section of
 ``id x y`` triples, and an optional ``EOF`` marker.
 
 Distances follow the published TSPLIB rounding conventions and are therefore
-integers; all downstream math promotes to float64, where integer-valued sums
-are exact. Parse errors are structured and carry the 1-based line number of
-the offending input line.
+integers; ``distance_matrix`` applies them to all pairs at once, in float64,
+where integer-valued sums are exact. Parse errors are structured and carry
+the 1-based line number of the offending input line.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 SUPPORTED_EDGE_WEIGHT_TYPES = ("EUC_2D", "CEIL_2D", "ATT")
 
@@ -190,28 +191,26 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def _nint(x: float) -> int:
-    # TSPLIB nint: round half up via truncation of x + 0.5
-    return int(x + 0.5)
+def distance_matrix(xy: np.ndarray, edge_weight_type: str) -> np.ndarray:
+    """(n, n) float64 integer-valued distances under a TSPLIB convention.
 
-
-def distance(a: tuple[float, float], b: tuple[float, float], edge_weight_type: str) -> int:
-    """Integer distance between two points under a TSPLIB convention.
-
-    EUC_2D rounds the Euclidean distance half-up; CEIL_2D takes the ceiling;
-    ATT is the pseudo-Euclidean rule (scaled by sqrt(1/10), rounded, then
-    bumped up by one when rounding went below the true value).
+    ``xy`` holds one (x, y) row per city. EUC_2D rounds the Euclidean
+    distance half-up (TSPLIB ``nint``, floor(r + 0.5)); CEIL_2D takes the
+    ceiling; ATT is the pseudo-Euclidean rule (r = sqrt(d2 / 10), rounded
+    half-up, then bumped up by one when rounding went below r).
     """
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
+    x, y = np.asarray(xy, dtype=np.float64).reshape(-1, 2).T
+    dx = x[:, None] - x
+    dy = y[:, None] - y
+    d2 = dx * dx + dy * dy
     if edge_weight_type == "EUC_2D":
-        return _nint(math.sqrt(dx * dx + dy * dy))
+        return np.floor(np.sqrt(d2) + 0.5)
     if edge_weight_type == "CEIL_2D":
-        return int(math.ceil(math.sqrt(dx * dx + dy * dy)))
+        return np.ceil(np.sqrt(d2))
     if edge_weight_type == "ATT":
-        rij = math.sqrt((dx * dx + dy * dy) / 10.0)
-        tij = _nint(rij)
-        return tij + 1 if tij < rij else tij
+        r = np.sqrt(d2 / 10.0)
+        t = np.floor(r + 0.5)
+        return t + (t < r)
     raise UnsupportedEdgeWeightType(f"edge weight type {edge_weight_type!r} not supported")
 
 

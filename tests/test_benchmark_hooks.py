@@ -1,0 +1,69 @@
+"""The program functions the benchmark's tracer wraps, and the kernel
+arguments it reads, still exist in the form it expects.
+
+``perfbench/probe.py`` wraps functions by their dotted names from outside
+the package and reads the selection kernels' arguments by position, so a
+rename or a reordered signature would break traced runs without failing
+any other test.
+"""
+
+import importlib.util
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from antbatch import colony
+from antbatch.colony import compute_probability_matrix
+from antbatch.model import AcoParams, PheromoneState, Selection
+
+from conftest import HERE, random_metric_instance
+
+PROBE_PATH = os.path.join(HERE, os.pardir, "perfbench", "probe.py")
+
+
+@pytest.fixture(scope="module")
+def probe():
+    spec = importlib.util.spec_from_file_location("perfbench_probe", PROBE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_capture_targets_exist(probe):
+    patches = probe.Patches("antbatch")
+    try:
+        probe.Capture(calibrate=lambda: 0.0).install(patches)
+        assert patches.missing == []
+    finally:
+        patches.restore()
+
+
+@pytest.mark.parametrize("mech", list(Selection), ids=lambda s: s.value)
+def test_traced_iteration_counts(probe, mech):
+    n, m = 12, 5
+    inst = random_metric_instance(np.random.default_rng(3), n)
+    params = AcoParams(m=m, k=1, selection=mech, seed=2)
+    tau = PheromoneState(tau=np.ones((n, n)))
+    prob = compute_probability_matrix(tau, inst, params)
+    with probe.Tracer("antbatch") as tracer:
+        colony.iterate(tau, prob, inst, params, 0)
+    assert tracer.patches.missing == []
+
+    if mech is Selection.RW:
+        kernel, draw = "selection.rw_spin_block", "rng.step_uniforms"
+    else:
+        kernel, draw = "selection.argmax_select_block", "rng.step_exponentials"
+    calls = [s for s in tracer.spans if s.label == kernel]
+    assert len(calls) == n - 1
+    assert len([s for s in tracer.spans if s.label == draw]) == n - 1
+    for step, span in enumerate(calls, start=1):
+        assert span.entries == m * n
+        if mech is not Selection.RW:
+            # the unvisited deviates the argmax reads at this step
+            assert span.deviates == m * (n - step)

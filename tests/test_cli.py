@@ -15,6 +15,8 @@ from antbatch.bench import (
 from antbatch.cli import main
 from antbatch.model import AcoParams, Selection
 
+from conftest import PKG_DATA
+
 
 @pytest.fixture
 def inst_path(tmp_path):
@@ -169,3 +171,20 @@ def test_convergence_subcommand(inst_path, tmp_path, capsys):
         assert os.path.exists(f"{prefix}_{mech}.json")
     out = capsys.readouterr().out
     assert "mechanism,median_convergence_generation" in out
+
+
+def test_convergence_table_equals_json_aggregates(tmp_path, capsys):
+    # with an even number of runs the median is the mean of the middle two,
+    # which the printed table must show as the summary JSON does
+    prefix = str(tmp_path / "conv")
+    rc = main(["convergence", os.path.join(PKG_DATA, "rnd120.tsp"), "--ants", "10",
+               "--iters", "5", "--reps", "2", "--out-prefix", prefix])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "mechanism,median_convergence_generation,median_final_best_cost"
+    assert len(lines) == 4
+    for line in lines[1:]:
+        mech, conv, final = line.split(",")
+        agg = json.loads(read(f"{prefix}_{mech}.json"))["aggregate"]
+        assert conv == repr(agg["median_convergence_generation"])
+        assert final == repr(agg["median_final_best_cost"])

@@ -1,3 +1,6 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from antbatch.model import (
 )
 from antbatch.tsplib import parse_instance
 
-from conftest import random_metric_instance
+from conftest import DATA, PKG_DATA, random_metric_instance
 
 
 def test_build_instance_distances_and_eta(square5):
@@ -28,6 +31,28 @@ def test_build_instance_distances_and_eta(square5):
     assert np.all(np.diag(square5.eta) == 0.0)
     off = ~np.eye(5, dtype=bool)
     assert np.allclose(square5.eta[off], 1.0 / square5.dist[off])
+
+
+# sha256 of build_instance(...).dist, recorded when the matrix was still
+# filled pair by pair from a scalar distance function
+DIST_DIGESTS = {
+    os.path.join(DATA, "u159.tsp"):
+        "0166b6047160669f79d464a8bc0b830f162929c28cd7c1b7faebf63e033df823",
+    os.path.join(DATA, "pcb442.tsp"):
+        "5b6be0d1f209a8df5fe2a90ba37a6a7a70ac93f5b825a88b2a6e7c290d3b69a6",
+    os.path.join(PKG_DATA, "rnd120.tsp"):
+        "9ca187e0045008474eb73766473eb91d19c33e01d22e0a7d2b7d7f2db64513a5",
+    os.path.join(PKG_DATA, "rnd442.tsp"):
+        "f370b05313b92e9684ca3b4594b25aa8721c3f2e82133411dd3361b1d07511a2",
+}
+
+
+@pytest.mark.parametrize("path", list(DIST_DIGESTS), ids=os.path.basename)
+def test_build_instance_distances_pinned(path):
+    with open(path, "r", encoding="utf-8") as f:
+        dist = build_instance(parse_instance(f.read())).dist
+    assert dist.dtype == np.float64 and dist.flags.c_contiguous
+    assert hashlib.sha256(dist.tobytes()).hexdigest() == DIST_DIGESTS[path]
 
 
 def test_instance_arrays_are_frozen(square5):
@@ -73,6 +98,9 @@ def test_too_few_cities_rejected():
         "1 0.0 0.0\n2 3.0 0.0\n")
     with pytest.raises(DegenerateInstance):
         build_instance(raw)
+    empty = parse_instance("DIMENSION : 0\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n")
+    with pytest.raises(DegenerateInstance):
+        build_instance(empty)
 
 
 def test_gamma_schedule_validation():

@@ -70,8 +70,8 @@ def test_scaled_log_weights_divides_by_gamma():
 def _spin(w, u: float) -> int:
     """One roulette spin through the kernel: a one-row block, nothing visited."""
     w = np.asarray(w, dtype=np.float64)
-    return int(rw_spin_block(w[None], np.zeros(1, dtype=np.int64), np.ones((1, w.size)),
-                             np.array([u]), np.empty((1, w.size)))[0])
+    return int(rw_spin_block(w[None], np.zeros(1, dtype=np.int64), np.array([u]),
+                             np.zeros((1, w.size), dtype=bool), np.empty((1, w.size)))[0])
 
 
 def test_rw_spin_hand_cases():
@@ -85,8 +85,8 @@ def test_rw_spin_never_selects_zero_weight():
     w = np.array([0.0, 1.0, 0.0])
     u = np.linspace(0.0, 0.999999, 37)
     m = u.size
-    got = rw_spin_block(w[None], np.zeros(m, dtype=np.int64), np.ones((m, 3)), u,
-                        np.empty((m, 3)))
+    got = rw_spin_block(w[None], np.zeros(m, dtype=np.int64), u,
+                        np.zeros((m, 3), dtype=bool), np.empty((m, 3)))
     assert np.all(got == 1)
 
 
@@ -104,14 +104,15 @@ def test_rw_spin_always_positive_weight(seed):
     g = np.random.default_rng(seed)
     m, n = int(g.integers(1, 9)), int(g.integers(2, 12))
     p = g.uniform(0.0, 1.0, (m, n)) * (g.uniform(size=(m, n)) < 0.7)
-    unvisited_f = (g.uniform(size=(m, n)) < 0.7).astype(float)
+    visited = g.uniform(size=(m, n)) >= 0.7
     keep = g.integers(0, n, m)   # one positive, unvisited candidate per row
     p[np.arange(m), keep] = 0.5
-    unvisited_f[np.arange(m), keep] = 1.0
+    visited[np.arange(m), keep] = False
     u = g.uniform(size=m)
     u[g.uniform(size=m) < 0.2] = 1.0 - 1e-17
-    got = rw_spin_block(p, np.arange(m), unvisited_f, u, np.empty((m, n)))
-    assert np.all(p[np.arange(m), got] * unvisited_f[np.arange(m), got] > 0.0)
+    got = rw_spin_block(p, np.arange(m), u, visited, np.empty((m, n)))
+    assert np.all(p[np.arange(m), got] > 0.0)
+    assert not visited[np.arange(m), got].any()
 
 
 # argmax kernel ---------------------------------------------------------------

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antbatch.tsplib import (
     BEST_KNOWN,
@@ -10,7 +13,7 @@ from antbatch.tsplib import (
     RawTspFile,
     TsplibParseError,
     UnsupportedEdgeWeightType,
-    distance,
+    distance_matrix,
     parse_instance,
     parse_tour,
     serialize_instance,
@@ -154,34 +157,73 @@ def test_structured_errors_are_valueerrors():
 
 # distance conventions ------------------------------------------------------
 
+def _d(a, b, edge_weight_type: str) -> float:
+    return distance_matrix([a, b], edge_weight_type)[0, 1]
+
+
 def test_euc2d_rounds_half_up():
-    assert distance((0.0, 0.0), (1.4, 0.0), "EUC_2D") == 1
-    assert distance((0.0, 0.0), (1.5, 0.0), "EUC_2D") == 2
-    assert distance((0.0, 0.0), (3.0, 4.0), "EUC_2D") == 5
+    assert _d((0.0, 0.0), (1.4, 0.0), "EUC_2D") == 1
+    assert _d((0.0, 0.0), (1.5, 0.0), "EUC_2D") == 2
+    assert _d((0.0, 0.0), (3.0, 4.0), "EUC_2D") == 5
 
 
 def test_ceil2d_takes_ceiling():
-    assert distance((0.0, 0.0), (1.1, 0.0), "CEIL_2D") == 2
-    assert distance((0.0, 0.0), (2.0, 0.0), "CEIL_2D") == 2
+    assert _d((0.0, 0.0), (1.1, 0.0), "CEIL_2D") == 2
+    assert _d((0.0, 0.0), (2.0, 0.0), "CEIL_2D") == 2
 
 
 def test_att_pseudo_euclidean():
     # (0,0)-(10,0): sqrt(100/10) = 3.1623, rounds to 3, bumped to 4
-    assert distance((0.0, 0.0), (10.0, 0.0), "ATT") == 4
+    assert _d((0.0, 0.0), (10.0, 0.0), "ATT") == 4
     # exact multiple: sqrt(1000/10) = 10 exactly, no bump
-    d = distance((0.0, 0.0), (math.sqrt(1000.0), 0.0), "ATT")
+    d = _d((0.0, 0.0), (math.sqrt(1000.0), 0.0), "ATT")
     assert d == 10
 
 
 def test_distance_unknown_type_raises():
     with pytest.raises(UnsupportedEdgeWeightType):
-        distance((0.0, 0.0), (1.0, 1.0), "GEO")
+        _d((0.0, 0.0), (1.0, 1.0), "GEO")
 
 
 def test_distance_is_symmetric():
     for ewt in ("EUC_2D", "CEIL_2D", "ATT"):
-        assert (distance((1.0, 2.0), (5.0, 7.0), ewt)
-                == distance((5.0, 7.0), (1.0, 2.0), ewt))
+        assert (_d((1.0, 2.0), (5.0, 7.0), ewt)
+                == _d((5.0, 7.0), (1.0, 2.0), ewt))
+
+
+def _pair_reference(a, b, edge_weight_type: str) -> int:
+    """The TSPLIB rules for one pair, in scalar Python floats."""
+    dx, dy = a[0] - b[0], a[1] - b[1]
+    if edge_weight_type == "EUC_2D":
+        return int(math.sqrt(dx * dx + dy * dy) + 0.5)
+    if edge_weight_type == "CEIL_2D":
+        return math.ceil(math.sqrt(dx * dx + dy * dy))
+    r = math.sqrt((dx * dx + dy * dy) / 10.0)
+    t = int(r + 0.5)
+    return t + 1 if t < r else t
+
+
+@st.composite
+def _points(draw):
+    """2-9 points with 0-2 decimals, some at exact half-way distances
+    (on the x axis at multiples of 1/2) and some at exact ATT integers
+    (multiples of (3, 1), whose d2 / 10 is a perfect square)."""
+    scale = 10 ** draw(st.integers(0, 2))
+    grid = st.tuples(st.integers(-10**5, 10**5), st.integers(-10**5, 10**5)).map(
+        lambda k: (k[0] / scale, k[1] / scale))
+    half = st.integers(-400, 400).map(lambda j: (j / 2, 0.0))
+    att = st.integers(-400, 400).map(lambda j: (3.0 * j, float(j)))
+    return draw(st.lists(st.one_of(grid, half, att), min_size=2, max_size=9))
+
+
+@given(_points(), st.sampled_from(["EUC_2D", "CEIL_2D", "ATT"]))
+@settings(max_examples=200, deadline=None)
+def test_distance_matrix_matches_pair_reference(pts, ewt):
+    got = distance_matrix(pts, ewt)
+    assert got.dtype == np.float64 and got.shape == (len(pts), len(pts))
+    for i, a in enumerate(pts):
+        for j, b in enumerate(pts):
+            assert got[i, j] == _pair_reference(a, b, ewt), (i, j)
 
 
 # round-trips ----------------------------------------------------------------
