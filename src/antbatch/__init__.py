@@ -6,7 +6,7 @@ whole-colony array operations instead of per-ant Python loops. Selection is
 pluggable: classic roulette-wheel sampling, independent roulette (argmax of
 deviate-weighted probabilities), and an adaptive variant that anneals the
 deviate exponent over iterations. Pheromone deposits come from the top-k
-elite tours per iteration via index/increment matrices.
+elite tours per iteration through one index-mapped scatter.
 
 The ``oracle`` module holds deliberately naive reference implementations
 (brute-force TSP, a per-ant sequential solver step, Monte-Carlo selection
@@ -49,7 +49,6 @@ from .model import (
 from .pheromone import (
     accumulate_increments,
     apply_update,
-    edge_index_matrix,
     select_elite,
 )
 from .selection import (
@@ -93,7 +92,6 @@ __all__ = [
     "build_instance",
     "compute_probability_matrix",
     "construct_tours",
-    "edge_index_matrix",
     "euclidean_instance",
     "gamma_at",
     "iterate",

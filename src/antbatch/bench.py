@@ -12,7 +12,6 @@ evaporation rate for replay.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import time
@@ -33,7 +32,7 @@ from .model import (
 )
 from .oracle import sequential_aco_step
 from .selection import argmax_select_block, gamma_at, scaled_log_weights
-from .tsplib import RawTspFile, parse_instance, serialize_instance
+from .tsplib import RawTspFile, parse_instance
 
 # Within 0.1% of a run's final best cost counts as converged; the first
 # iteration inside that band is the run's convergence generation.
@@ -380,12 +379,6 @@ def write_dict_csv(rows: list[dict], columns: list[str], out) -> None:
         w.writerow([_fmt(row.get(c)) for c in columns])
 
 
-def records_csv_text(records: list[IterationRecord]) -> str:
-    buf = io.StringIO()
-    write_records_csv(records, buf)
-    return buf.getvalue()
-
-
 def config_to_dict(config: ExperimentConfig) -> dict:
     d = asdict(config)
     d["params"]["selection"] = config.params.selection.value
@@ -440,7 +433,8 @@ def summary_json_text(config: ExperimentConfig, inst: TspInstance,
         "instance": {
             "name": inst.name, "n": inst.n, "best_known": inst.best_known,
             "best_known_source": ("override" if config.best_known is not None
-                                  else "bundled-table"),
+                                  else "bundled-table" if inst.best_known is not None
+                                  else None),
         },
         "runs": [asdict(s) for s in summaries],
         "aggregate": {
@@ -450,8 +444,3 @@ def summary_json_text(config: ExperimentConfig, inst: TspInstance,
         },
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def write_instance_file(raw: RawTspFile, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(serialize_instance(raw))

@@ -1,10 +1,11 @@
-"""Elite pheromone update via edge-index accumulation.
+"""Elite pheromone update via one index-mapped scatter.
 
-Each elite tour is turned into an index matrix pairing every city with its
-predecessor around the closed tour; deposits of 1/cost land on those index
-pairs (both orientations, keeping tau symmetric) and accumulate in elite
-rank order so the batched update is bit-reproducible and equals the
-textbook per-edge loop exactly.
+The k elite tours become one elite-major index map pairing every city with
+its predecessor around the closed tour, in both orientations (keeping tau
+symmetric). One ``np.add.at`` deposits 1/cost on all 2kn pairs; it adds
+repeated cells in index order, so each cell accumulates in elite rank
+order and the batched update is bit-reproducible and equals the textbook
+per-edge loop exactly.
 """
 
 from __future__ import annotations
@@ -25,35 +26,30 @@ def select_elite(batch: TourBatch, k: int) -> list[tuple[np.ndarray, float]]:
     return [(batch.tours[a], float(batch.costs[a])) for a in order]
 
 
-def edge_index_matrix(tour) -> np.ndarray:
-    """Pair every tour position with its predecessor: row t = (tour[t], tour[t-1]).
-
-    The n rows, read as undirected pairs, are exactly the closed tour's n
-    edges. Shape (n, 2).
-    """
-    t = np.asarray(tour, dtype=np.int64)
-    _check_permutation(t, t.size)
-    return np.column_stack((t, np.roll(t, 1)))
-
-
 def accumulate_increments(elites: list[tuple[np.ndarray, float]], n: int) -> np.ndarray:
-    """Sum of per-elite increment matrices, accumulated in elite rank order.
+    """Sum of the elites' deposits of 1/cost on their tours' edges, both
+    orientations, accumulated in elite rank order by one scatter.
 
-    An elite's increment matrix holds 1/cost on each of its tour's edges, in
-    both orientations, and zero elsewhere. Within one elite the n directed
-    index pairs are distinct, so the fancy in-place add performs each
-    deposit exactly once; across elites the accumulation order is the given
-    rank order. The result is therefore bitwise equal to the sequential
-    per-edge reference loop.
+    The k tours are stacked into a (k, n) block and checked with one row
+    sort; the first row that is not a permutation of 0..n-1 raises
+    InvalidPermutation. The index map is elite-major: for each elite in
+    rank order its n (city, predecessor) pairs, then the same pairs
+    reversed. ``np.add.at`` adds repeated cells in index order, so every
+    cell sums its increments in elite rank order and the result is bitwise
+    equal to the sequential per-edge reference loop.
     """
     if not elites:
         raise ValueError("elites must be nonempty")
+    tours = np.stack([t for t, _ in elites]).astype(np.int64, copy=False)
+    ok = tours.shape[1] == n and (np.sort(tours, axis=1) == np.arange(n)).all(axis=1)
+    if not np.all(ok):
+        _check_permutation(tours[np.argmin(ok)], n)
+    prev = np.roll(tours, 1, axis=1)
+    rows = np.concatenate((tours, prev), axis=1)
+    cols = np.concatenate((prev, tours), axis=1)
+    inc = 1.0 / np.array([c for _, c in elites], dtype=np.float64)
     delta = np.zeros((n, n))
-    for tour, cost in elites:
-        idx = edge_index_matrix(tour)
-        inc = 1.0 / cost
-        delta[idx[:, 0], idx[:, 1]] += inc
-        delta[idx[:, 1], idx[:, 0]] += inc
+    np.add.at(delta, (rows.ravel(), cols.ravel()), np.repeat(inc, 2 * n))
     return delta
 
 

@@ -70,18 +70,19 @@ def gamma_at(iteration: int, schedule: GammaSchedule) -> float:
 
 
 def scaled_log_weights(p: np.ndarray, gamma: float) -> np.ndarray:
-    """log(p) / gamma with zero entries mapped to -inf.
+    """log(p) / gamma for non-negative p; zero entries map to -inf.
 
-    Works elementwise on vectors and matrices alike; the batched pipeline
-    applies it to the whole transition matrix once per iteration and the
-    per-ant reference applies it the same way, so both read identical bits.
+    One log pass and one in-place divide (log(0) is IEEE -inf, so no mask
+    is needed). Works elementwise on vectors and matrices alike; the batched
+    pipeline applies it to the whole transition matrix once per iteration
+    and the per-ant reference applies it the same way, so both read
+    identical bits.
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
-    p = np.asarray(p, dtype=np.float64)
-    logw = np.full(p.shape, -np.inf)
-    np.log(p, out=logw, where=p > 0)
-    np.divide(logw, gamma, out=logw)
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.asarray(p, dtype=np.float64))
+    logw /= gamma
     return logw
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -20,12 +21,12 @@ from antbatch.bench import (
     config_to_dict,
     load_instance,
     make_synthetic_instance,
-    records_csv_text,
     run_experiment,
     run_probability_shift_study,
     run_scaling_study,
     summary_json_text,
     write_dict_csv,
+    write_records_csv,
 )
 from antbatch.colony import compute_probability_matrix
 from antbatch.model import (
@@ -36,6 +37,8 @@ from antbatch.model import (
     build_instance,
 )
 from antbatch.tsplib import parse_instance, serialize_instance
+
+from conftest import DATA
 
 
 class FakeClock:
@@ -48,6 +51,12 @@ class FakeClock:
     def __call__(self):
         self.t += self.tick
         return self.t
+
+
+def records_csv_text(records):
+    buf = io.StringIO()
+    write_records_csv(records, buf)
+    return buf.getvalue()
 
 
 def tiny_config(**kw):
@@ -215,6 +224,21 @@ def test_summary_json_shape():
     assert len(doc["runs"]) == 1
     assert "median_final_best_cost" in doc["aggregate"]
     assert doc["config"]["params"]["selection"] == "adair"
+
+
+def test_summary_names_bundled_table_only_when_it_has_an_entry():
+    def source(cfg):
+        inst = load_instance(cfg)
+        _, summaries = run_experiment(cfg, inst, clock=FakeClock())
+        return json.loads(summary_json_text(cfg, inst, summaries))["instance"]
+
+    doc = source(tiny_config())  # rnd10: no table entry, no override
+    assert doc["best_known"] is None
+    assert doc["best_known_source"] is None
+    doc = source(tiny_config(instance_path=os.path.join(DATA, "u159.tsp"), synthetic=None,
+                             params=AcoParams(m=4, k=1, max_iters=1, seed=0)))
+    assert doc["best_known"] is not None
+    assert doc["best_known_source"] == "bundled-table"
 
 
 # CSV format ---------------------------------------------------------------------

@@ -10,10 +10,10 @@ from antbatch.bench import (
     config_to_dict,
     ExperimentConfig,
     make_synthetic_instance,
-    write_instance_file,
 )
 from antbatch.cli import main
 from antbatch.model import AcoParams, Selection
+from antbatch.tsplib import serialize_instance
 
 from conftest import PKG_DATA
 
@@ -21,8 +21,8 @@ from conftest import PKG_DATA
 @pytest.fixture
 def inst_path(tmp_path):
     path = str(tmp_path / "t12.tsp")
-    write_instance_file(make_synthetic_instance(SyntheticSpec(n=12, seed=4)),
-                        path)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(serialize_instance(make_synthetic_instance(SyntheticSpec(n=12, seed=4))))
     return path
 
 

@@ -61,21 +61,25 @@ def test_division_by_one_is_identity():
     assert np.array_equal(np.divide(x, 1.0), x)
 
 
-def test_fancy_increment_with_distinct_cells_matches_loop():
-    # tour edges within one deposit are distinct (i, j) cells, so a plain
-    # fancy += (one add per cell) must equal the explicit edge loop.
-    n = 9
-    rows = np.arange(n)
-    cols = np.roll(rows, 1)
-    vals = RNG.uniform(0.1, 1.0)
+def test_add_at_adds_repeated_cells_in_index_order():
+    # the elite deposit scatters all elites' pairs with one np.add.at; each
+    # cell must sum its repeated indices in index order, as a loop does.
+    # Few cells and values spread over many magnitudes make the order show.
+    g = np.random.default_rng(5)
+    n, size = 3, 400
+    rows = g.integers(0, n, size=size)
+    cols = g.integers(0, n, size=size)
+    vals = g.uniform(0.1, 1.0, size=size) * 10.0 ** g.integers(-8, 9, size=size)
     a = np.zeros((n, n))
-    a[rows, cols] += vals
-    a[cols, rows] += vals
+    np.add.at(a, (rows, cols), vals)
     b = np.zeros((n, n))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        b[i, j] += vals
-        b[j, i] += vals
-    assert np.array_equal(a, b)
+    for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        b[i, j] += v
+    assert a.tobytes() == b.tobytes()
+    # the data is order-sensitive: the reversed order gives other bits
+    r = np.zeros((n, n))
+    np.add.at(r, (rows[::-1], cols[::-1]), vals[::-1])
+    assert r.tobytes() != a.tobytes()
 
 
 def test_philox_streams_are_reproducible_and_keyed():

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antbatch.model import InvalidPermutation, PheromoneState, TAU_MIN, TourBatch
+from antbatch.oracle import sequential_increment_sum
 from antbatch.pheromone import (
     accumulate_increments,
     apply_update,
-    edge_index_matrix,
     select_elite,
 )
 
@@ -42,21 +42,53 @@ def test_select_elite_bounds():
         select_elite(b, 2)
 
 
-# index and increment matrices -------------------------------------------------
+# elite deposit ------------------------------------------------------------------
 
-def test_edge_index_matrix_pairs_each_city_with_predecessor():
-    idx = edge_index_matrix(np.array([2, 0, 1]))
-    assert idx.shape == (3, 2)
-    assert idx.tolist() == [[2, 1], [0, 2], [1, 0]]
+def test_accumulate_pairs_each_city_with_predecessor():
+    a = accumulate_increments([(np.array([2, 0, 3, 1]), 2.0)], n=4)
+    # the closed tour 2-0-3-1-2: each city with its predecessor, both ways
+    edges = {(2, 1), (0, 2), (3, 0), (1, 3)}
+    cells = edges | {(j, i) for i, j in edges}
+    for i in range(4):
+        for j in range(4):
+            assert a[i, j] == (0.5 if (i, j) in cells else 0.0)
 
 
-def test_edge_index_matrix_rejects_non_permutation():
+def test_accumulate_rejects_non_permutation():
     with pytest.raises(ValueError):
-        edge_index_matrix(np.array([0, 1, 1]))
+        accumulate_increments([(np.array([0, 1, 1]), 1.0)], 3)
     # the message names one city, not the whole 300-city tour
+    good = np.arange(300)
+    bad = np.where(good == 7, 250, good)
     with pytest.raises(InvalidPermutation,
                        match=r"^not a permutation of 0\.\.299: city 7 is missing$"):
-        edge_index_matrix(np.where(np.arange(300) == 7, 250, np.arange(300)))
+        accumulate_increments([(bad, 1.0)], 300)
+    # the first bad elite is named, wherever it ranks
+    with pytest.raises(InvalidPermutation, match=r"city 7 is missing$"):
+        accumulate_increments([(good, 1.0), (bad, 2.0), (good[::-1], 3.0)], 300)
+    # tours of another length than n
+    with pytest.raises(InvalidPermutation, match=r"^not a permutation of 0\.\.3: "):
+        accumulate_increments([(np.arange(3), 1.0)], 4)
+
+
+@st.composite
+def elite_sets(draw):
+    """n in 4..8 and up to 12 elites drawn from a small pool of tours, so
+    the same tour (and the same edges) repeat across ranks."""
+    n = draw(st.integers(4, 8))
+    pool = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    costs = draw(st.lists(st.floats(1.0, 1e4), min_size=len(picks),
+                          max_size=len(picks)))
+    return n, [(np.array(pool[i]), c) for i, c in zip(picks, costs)]
+
+
+@given(elite_sets())
+@settings(max_examples=200, deadline=None)
+def test_accumulate_is_bitwise_the_sequential_edge_loop(case):
+    n, elites = case
+    got = accumulate_increments(elites, n)
+    assert got.tobytes() == sequential_increment_sum(elites, n).tobytes()
 
 
 def test_increment_matrix_hand_case():
