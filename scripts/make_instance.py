@@ -8,7 +8,7 @@ with the same arguments reproduces the same file byte for byte.
 import argparse
 import sys
 
-from antbatch.bench import SyntheticSpec, make_synthetic_instance
+from antbatch.bench import make_synthetic_instance
 from antbatch.tsplib import serialize_instance
 
 
@@ -22,9 +22,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=None, help="output path (default stdout)")
     args = ap.parse_args(argv)
 
-    spec = SyntheticSpec(n=args.n, seed=args.seed, kind=args.kind,
-                         name=args.name)
-    text = serialize_instance(make_synthetic_instance(spec))
+    raw = make_synthetic_instance(args.n, seed=args.seed, kind=args.kind, name=args.name)
+    text = serialize_instance(raw)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)

@@ -17,7 +17,6 @@ from .bench import (
     ExperimentConfig,
     IterationRecord,
     RunSummary,
-    SyntheticSpec,
     load_instance,
     make_synthetic_instance,
     run_experiment,
@@ -82,7 +81,6 @@ __all__ = [
     "RevisitedCity",
     "RunSummary",
     "Selection",
-    "SyntheticSpec",
     "TourBatch",
     "TspInstance",
     "TsplibParseError",

@@ -1,6 +1,11 @@
 """Experiment harness: convergence runs, runtime scaling over colony size,
 selection-mechanism ablations, and the selection-probability shift study.
 
+Experiments read their instance from a TSPLIB file. ``make_synthetic_instance``
+generates deterministic layouts, which ``scripts/make_instance.py`` writes
+as such files. The shift study estimates selection frequencies with the
+oracle's Monte-Carlo estimator, the one the closed-form checks validate.
+
 Output is CSV for per-iteration records (fixed column order, RFC-4180
 quoting) plus one JSON summary per experiment (config echo and aggregate
 stats). Timing uses an injectable clock so determinism tests can fix it;
@@ -15,7 +20,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -30,8 +35,8 @@ from .model import (
     TspInstance,
     build_instance,
 )
-from .oracle import sequential_aco_step
-from .selection import argmax_select_block, gamma_at, scaled_log_weights
+from .oracle import empirical_selection_distribution, sequential_aco_step
+from .selection import gamma_at
 from .tsplib import RawTspFile, parse_instance
 
 # Within 0.1% of a run's final best cost counts as converged; the first
@@ -47,33 +52,16 @@ SHIFT_COLUMNS = ["iteration", "gamma", "p_max", "p_hat_max_prime"]
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
-    """Deterministic synthetic instance: n cities, layout kind, coord seed."""
-
-    n: int
-    seed: int = 0
-    kind: str = "clustered"
-    name: str = ""
-
-    def __post_init__(self):
-        if self.kind not in ("clustered", "uniform"):
-            raise ValueError(f"kind must be clustered or uniform, got {self.kind!r}")
-        if not self.name:
-            object.__setattr__(self, "name", f"rnd{self.n}")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs; mirrors the CLI's JSON config file.
 
-    Exactly one of instance_path / synthetic names the instance. When
+    ``instance_path`` names the TSPLIB file the experiment reads. When
     time_limit_seconds is set it governs termination and max_iters acts as
     a cap; otherwise max_iters governs.
     """
 
     params: AcoParams
-    instance_path: str | None = None
-    synthetic: SyntheticSpec | None = None
+    instance_path: str
     repetitions: int = 1
     time_limit_seconds: float | None = None
     output_path: str | None = None
@@ -82,8 +70,6 @@ class ExperimentConfig:
     lenient: bool = False
 
     def __post_init__(self):
-        if (self.instance_path is None) == (self.synthetic is None):
-            raise ValueError("exactly one of instance_path / synthetic is required")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.time_limit_seconds is not None and self.time_limit_seconds <= 0:
@@ -118,39 +104,42 @@ class RunSummary:
     terminated_by: str  # "max_iters" or "time_limit"
 
 
-def make_synthetic_instance(spec: SyntheticSpec) -> RawTspFile:
-    """Deterministic TSPLIB-format instance from a SyntheticSpec.
+def make_synthetic_instance(n: int, seed: int = 0, kind: str = "clustered",
+                            name: str = "") -> RawTspFile:
+    """Deterministic TSPLIB-format instance of n cities, named ``rnd<n>``
+    unless ``name`` is given; ``scripts/make_instance.py`` writes it to a file.
 
     Clustered layouts group cities around a handful of centers (structure
-    for pheromone to exploit); uniform layouts scatter them. Coordinates are
-    rounded to one decimal so files round-trip compactly; distances follow
-    the normal EUC_2D convention.
+    for pheromone to exploit); uniform layouts scatter them. ``seed`` seeds
+    the coordinates. Coordinates are rounded to one decimal so files
+    round-trip compactly; distances follow the normal EUC_2D convention.
+    Raises ValueError for a kind other than clustered or uniform.
     """
-    g = np.random.default_rng(spec.seed)
-    if spec.kind == "clustered":
-        n_centers = max(2, spec.n // 25)
+    if kind not in ("clustered", "uniform"):
+        raise ValueError(f"kind must be clustered or uniform, got {kind!r}")
+    g = np.random.default_rng(seed)
+    if kind == "clustered":
+        n_centers = max(2, n // 25)
         centers = g.uniform(0.0, 2000.0, size=(n_centers, 2))
-        which = g.integers(0, n_centers, size=spec.n)
-        pts = centers[which] + g.normal(0.0, 60.0, size=(spec.n, 2))
+        which = g.integers(0, n_centers, size=n)
+        pts = centers[which] + g.normal(0.0, 60.0, size=(n, 2))
     else:
-        pts = g.uniform(0.0, 2000.0, size=(spec.n, 2))
+        pts = g.uniform(0.0, 2000.0, size=(n, 2))
     pts = np.round(pts, 1)
     coords = tuple((i + 1, float(x), float(y)) for i, (x, y) in enumerate(pts))
     return RawTspFile(
-        name=spec.name,
-        dimension=spec.n,
+        name=name or f"rnd{n}",
+        dimension=n,
         edge_weight_type="EUC_2D",
-        comment=f"synthetic {spec.kind} layout, coord seed {spec.seed}",
+        comment=f"synthetic {kind} layout, coord seed {seed}",
         node_coords=coords,
     )
 
 
 def load_instance(config: ExperimentConfig) -> TspInstance:
-    if config.instance_path is not None:
-        with open(config.instance_path, "r", encoding="utf-8") as f:
-            raw = parse_instance(f.read())
-    else:
-        raw = make_synthetic_instance(config.synthetic)
+    """Parse and build the instance file that ``config`` names."""
+    with open(config.instance_path, "r", encoding="utf-8") as f:
+        raw = parse_instance(f.read())
     return build_instance(raw, best_known=config.best_known, lenient=config.lenient)
 
 
@@ -268,10 +257,15 @@ def run_scaling_study(instances: list[TspInstance], population_sizes: list[int],
     When ``budget_ms`` is set, a cell whose projected per-iteration time
     exceeds it is skipped with status "exceeded_budget" (the projection
     scales a small-colony probe linearly in m, sound for the per-ant
-    sequential loop, and is used for sequential cells only).
+    sequential loop, and is used for sequential cells only). Raises
+    ValueError for an unknown mode and for iterations or repetitions < 1.
     """
     if mode not in ("batched", "sequential", "both"):
         raise ValueError(f"mode must be batched, sequential, or both, got {mode!r}")
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     timers = {"batched": _time_batched_cell, "sequential": _time_sequential_cell}
     modes = ["batched", "sequential"] if mode == "both" else [mode]
     rows: list[dict] = []
@@ -320,9 +314,11 @@ def run_probability_shift_study(inst: TspInstance, params: AcoParams,
     """Track how the adaptive deviate exponent shifts effective selection.
 
     At each iteration's first construction step, records ant 0's masked
-    (renormalized) probability row maximum p_max and the Monte-Carlo
-    estimate p_hat_max_prime of the probability that the adaptive mechanism
-    picks that same max-probability city, over ``trials`` draws. As gamma
+    (renormalized) probability row maximum p_max and p_hat_max_prime, the
+    frequency with which the adaptive mechanism picks that same city in
+    ``trials`` draws of ``oracle.empirical_selection_distribution``. The
+    estimator is seeded with params.seed, so every iteration reads the same
+    deviates (common random numbers) and it rejects trials < 1. As gamma
     anneals to 1 the estimate approaches the plain independent-roulette
     value.
     """
@@ -339,17 +335,11 @@ def run_probability_shift_study(inst: TspInstance, params: AcoParams,
         row = prob.p[rng.start_cities(params.seed, it, params.m, inst.n)[0]]
         row = row / row.sum()
         target = int(np.argmax(row))
-        p_max = float(row[target])
-
-        e = rng.mc_stream(params.seed, it).standard_exponential((trials, inst.n))
-        picks = argmax_select_block(scaled_log_weights(row, gamma)[None],
-                                    np.zeros(trials, dtype=np.int64), e,
-                                    np.broadcast_to(False, e.shape), np.empty(e.shape))
-        hits = int(np.count_nonzero(picks == target))
-
+        freq = empirical_selection_distribution(Selection.ADAIR, row, gamma, trials,
+                                                seed=params.seed)
         rows.append({
-            "iteration": it, "gamma": gamma, "p_max": p_max,
-            "p_hat_max_prime": hits / trials,
+            "iteration": it, "gamma": gamma, "p_max": float(row[target]),
+            "p_hat_max_prime": float(freq[target]),
         })
         _, tau, prob = iterate(tau, prob, inst, params, it)
     return rows
@@ -411,10 +401,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         if sched is not None:
             p["gamma_schedule"] = GammaSchedule(
                 **_checked_keys(GammaSchedule, sched, "params.gamma_schedule"))
-        syn = d.pop("synthetic", None)
-        if syn is not None:
-            syn = SyntheticSpec(**_checked_keys(SyntheticSpec, syn, "synthetic"))
-        return ExperimentConfig(params=AcoParams(**p), synthetic=syn, **d)
+        return ExperimentConfig(params=AcoParams(**p), **d)
     except TypeError as e:
         raise ValueError(f"bad config value: {e}") from None
 

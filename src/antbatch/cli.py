@@ -189,8 +189,7 @@ def _cmd_solve(args) -> int:
         base = ExperimentConfig(params=_default_params(args, iters),
                                 instance_path=args.instance)
     config = replace(base, params=_overlay(args, base.params), instance_path=args.instance,
-                     synthetic=None, lenient=args.lenient or base.lenient,
-                     **_given(args, _CONFIG_FLAGS))
+                     lenient=args.lenient or base.lenient, **_given(args, _CONFIG_FLAGS))
 
     records, summaries = _run_and_write(config, load_instance(config))
     if config.output_path:

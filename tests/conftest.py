@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from antbatch.bench import make_synthetic_instance
 from antbatch.model import AcoParams, TspInstance, build_instance, euclidean_instance
-from antbatch.tsplib import RawTspFile, parse_instance
+from antbatch.tsplib import RawTspFile, parse_instance, serialize_instance
 
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "data")
@@ -42,6 +43,30 @@ def random_metric_instance(rng: np.random.Generator, n: int,
                           for i, (x, y) in enumerate(coords)),
     )
     return build_instance(raw)
+
+
+@pytest.fixture(scope="session")
+def synthetic_files(tmp_path_factory):
+    """Paths of the TSPLIB files of the synthetic instances the experiment
+    tests read, written once per session: rnd10 (seed 3) and rnd20 (seed 4)."""
+    folder = tmp_path_factory.mktemp("instances")
+    paths = {}
+    for n, seed in ((10, 3), (20, 4)):
+        path = folder / f"rnd{n}.tsp"
+        path.write_text(serialize_instance(make_synthetic_instance(n, seed=seed)),
+                        encoding="utf-8")
+        paths[f"rnd{n}"] = str(path)
+    return paths
+
+
+@pytest.fixture
+def rnd10(synthetic_files):
+    return synthetic_files["rnd10"]
+
+
+@pytest.fixture
+def rnd20(synthetic_files):
+    return synthetic_files["rnd20"]
 
 
 @pytest.fixture

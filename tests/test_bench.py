@@ -15,7 +15,6 @@ from antbatch.bench import (
     IterationRecord,
     SCALING_COLUMNS,
     SHIFT_COLUMNS,
-    SyntheticSpec,
     _convergence_generation,
     config_from_dict,
     config_to_dict,
@@ -28,7 +27,7 @@ from antbatch.bench import (
     write_dict_csv,
     write_records_csv,
 )
-from antbatch.colony import compute_probability_matrix
+from antbatch.colony import compute_probability_matrix, iterate
 from antbatch.model import (
     AcoParams,
     GammaSchedule,
@@ -36,6 +35,7 @@ from antbatch.model import (
     Selection,
     build_instance,
 )
+from antbatch.oracle import empirical_selection_distribution
 from antbatch.tsplib import parse_instance, serialize_instance
 
 from conftest import DATA
@@ -59,10 +59,10 @@ def records_csv_text(records):
     return buf.getvalue()
 
 
-def tiny_config(**kw):
+def tiny_config(path, **kw):
     defaults = dict(
         params=AcoParams(m=6, k=2, max_iters=4, seed=11),
-        synthetic=SyntheticSpec(n=10, seed=3),
+        instance_path=path,
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
@@ -71,39 +71,31 @@ def tiny_config(**kw):
 # synthetic instances ----------------------------------------------------------
 
 def test_make_synthetic_instance_deterministic():
-    a = make_synthetic_instance(SyntheticSpec(n=30, seed=5))
-    b = make_synthetic_instance(SyntheticSpec(n=30, seed=5))
+    a = make_synthetic_instance(30, seed=5)
+    b = make_synthetic_instance(30, seed=5)
     assert a == b
     assert a.dimension == 30
     assert a.name == "rnd30"
-    c = make_synthetic_instance(SyntheticSpec(n=30, seed=6))
+    c = make_synthetic_instance(30, seed=6)
     assert c != a
 
 
 def test_synthetic_round_trips_through_serializer():
-    raw = make_synthetic_instance(SyntheticSpec(n=25, seed=1, kind="uniform"))
+    raw = make_synthetic_instance(25, seed=1, kind="uniform")
     assert parse_instance(serialize_instance(raw)) == raw
     build_instance(raw)  # and it is a usable metric instance
 
 
-def test_synthetic_spec_validates_kind():
-    with pytest.raises(ValueError):
-        SyntheticSpec(n=10, kind="spiral")
+def test_make_synthetic_instance_validates_kind():
+    with pytest.raises(ValueError, match="kind must be clustered or uniform"):
+        make_synthetic_instance(10, kind="spiral")
 
 
 # config -----------------------------------------------------------------------
 
-def test_config_requires_exactly_one_source(tmp_path):
-    with pytest.raises(ValueError):
-        ExperimentConfig(params=AcoParams(m=2, k=1))
-    with pytest.raises(ValueError):
-        ExperimentConfig(params=AcoParams(m=2, k=1),
-                         instance_path="x.tsp",
-                         synthetic=SyntheticSpec(n=5))
-
-
-def test_config_json_round_trip():
+def test_config_json_round_trip(rnd10):
     cfg = tiny_config(
+        rnd10,
         params=AcoParams(m=6, k=2, max_iters=4, seed=11,
                          selection=Selection.RW,
                          gamma_schedule=GammaSchedule(1.25, 1.0, 50)),
@@ -122,9 +114,12 @@ def test_config_json_round_trip():
     (lambda d: d["params"].pop("k"), "missing config key 'params.k'"),
     (lambda d: d["params"].update(m="six"), "bad config value"),
     (lambda d: d.update(params=[]), "config params must be a JSON object"),
-], ids=["top", "params", "schedule", "no-params", "no-k", "type", "not-object"])
-def test_config_from_dict_names_the_bad_key(edit, named):
-    d = json.loads(json.dumps(config_to_dict(tiny_config())))
+    (lambda d: d.update(synthetic={"n": 30}), "unknown config key 'synthetic'"),
+    (lambda d: d.pop("instance_path"), "missing config key 'instance_path'"),
+], ids=["top", "params", "schedule", "no-params", "no-k", "type", "not-object",
+        "synthetic", "no-path"])
+def test_config_from_dict_names_the_bad_key(edit, named, rnd10):
+    d = json.loads(json.dumps(config_to_dict(tiny_config(rnd10))))
     edit(d)
     with pytest.raises(ValueError, match=named):
         config_from_dict(d)
@@ -132,8 +127,8 @@ def test_config_from_dict_names_the_bad_key(edit, named):
 
 # run_experiment ----------------------------------------------------------------
 
-def test_run_experiment_record_invariants():
-    cfg = tiny_config(repetitions=2)
+def test_run_experiment_record_invariants(rnd10):
+    cfg = tiny_config(rnd10, repetitions=2)
     records, summaries = run_experiment(cfg, clock=FakeClock())
     assert len(records) == 2 * 4
     assert len(summaries) == 2
@@ -152,15 +147,15 @@ def test_run_experiment_record_invariants():
         assert summaries[run_id].terminated_by == "max_iters"
 
 
-def test_run_experiment_is_deterministic_byte_for_byte():
-    cfg = tiny_config(repetitions=2)
+def test_run_experiment_is_deterministic_byte_for_byte(rnd10):
+    cfg = tiny_config(rnd10, repetitions=2)
     a, _ = run_experiment(cfg, clock=FakeClock())
     b, _ = run_experiment(cfg, clock=FakeClock())
     assert records_csv_text(a) == records_csv_text(b)
 
 
-def test_run_experiment_real_clock_changes_only_timing():
-    cfg = tiny_config()
+def test_run_experiment_real_clock_changes_only_timing(rnd10):
+    cfg = tiny_config(rnd10)
     a, _ = run_experiment(cfg)
     b, _ = run_experiment(cfg)
     strip = lambda recs: [
@@ -169,9 +164,9 @@ def test_run_experiment_real_clock_changes_only_timing():
     assert strip(a) == strip(b)
 
 
-def test_gamma_column_empty_for_non_adaptive():
-    cfg = tiny_config(params=AcoParams(m=6, k=2, max_iters=2, seed=0,
-                                       selection=Selection.IR))
+def test_gamma_column_empty_for_non_adaptive(rnd10):
+    cfg = tiny_config(rnd10, params=AcoParams(m=6, k=2, max_iters=2, seed=0,
+                                              selection=Selection.IR))
     records, _ = run_experiment(cfg, clock=FakeClock())
     assert all(r.gamma is None for r in records)
     text = records_csv_text(records)
@@ -179,11 +174,11 @@ def test_gamma_column_empty_for_non_adaptive():
     assert text.splitlines()[1].split(",")[7] == ""
 
 
-def test_solution_error_needs_best_known():
-    cfg = tiny_config()
+def test_solution_error_needs_best_known(rnd10):
+    cfg = tiny_config(rnd10)
     records, _ = run_experiment(cfg, clock=FakeClock())
     assert all(r.solution_error_percent is None for r in records)
-    cfg2 = tiny_config(best_known=100.0)
+    cfg2 = tiny_config(rnd10, best_known=100.0)
     records2, summaries2 = run_experiment(cfg2, clock=FakeClock())
     for r in records2:
         assert r.solution_error_percent == pytest.approx(
@@ -191,11 +186,11 @@ def test_solution_error_needs_best_known():
     assert summaries2[0].solution_error_percent is not None
 
 
-def test_time_limit_terminates_and_is_recorded():
+def test_time_limit_terminates_and_is_recorded(rnd10):
     # run_experiment calls the clock 3x per iteration (t0, t1, limit check)
     # plus once at run start; a 1s tick with a 2.5s budget stops after the
     # first iteration's check
-    cfg = tiny_config(params=AcoParams(m=4, k=1, max_iters=50, seed=0),
+    cfg = tiny_config(rnd10, params=AcoParams(m=4, k=1, max_iters=50, seed=0),
                       time_limit_seconds=2.5)
     records, summaries = run_experiment(cfg, clock=FakeClock(tick=1.0))
     assert summaries[0].terminated_by == "time_limit"
@@ -214,8 +209,8 @@ def test_convergence_generation_definition():
     assert _convergence_generation([just_outside, final]) == 1
 
 
-def test_summary_json_shape():
-    cfg = tiny_config(best_known=50.0)
+def test_summary_json_shape(rnd10):
+    cfg = tiny_config(rnd10, best_known=50.0)
     inst = load_instance(cfg)
     _, summaries = run_experiment(cfg, inst, clock=FakeClock())
     doc = json.loads(summary_json_text(cfg, inst, summaries))
@@ -226,16 +221,16 @@ def test_summary_json_shape():
     assert doc["config"]["params"]["selection"] == "adair"
 
 
-def test_summary_names_bundled_table_only_when_it_has_an_entry():
+def test_summary_names_bundled_table_only_when_it_has_an_entry(rnd10):
     def source(cfg):
         inst = load_instance(cfg)
         _, summaries = run_experiment(cfg, inst, clock=FakeClock())
         return json.loads(summary_json_text(cfg, inst, summaries))["instance"]
 
-    doc = source(tiny_config())  # rnd10: no table entry, no override
+    doc = source(tiny_config(rnd10))  # rnd10: no table entry, no override
     assert doc["best_known"] is None
     assert doc["best_known_source"] is None
-    doc = source(tiny_config(instance_path=os.path.join(DATA, "u159.tsp"), synthetic=None,
+    doc = source(tiny_config(os.path.join(DATA, "u159.tsp"),
                              params=AcoParams(m=4, k=1, max_iters=1, seed=0)))
     assert doc["best_known"] is not None
     assert doc["best_known_source"] == "bundled-table"
@@ -258,7 +253,7 @@ def test_records_csv_golden_row():
 # scaling study -------------------------------------------------------------------
 
 def test_scaling_study_rows_and_speedup():
-    inst = build_instance(make_synthetic_instance(SyntheticSpec(n=10, seed=3)))
+    inst = build_instance(make_synthetic_instance(10, seed=3))
     rows = run_scaling_study([inst], [4, 6], "both", iterations=2,
                              repetitions=1, seed=0)
     assert len(rows) == 4
@@ -273,7 +268,7 @@ def test_scaling_study_rows_and_speedup():
 
 
 def test_scaling_study_budget_marker():
-    inst = build_instance(make_synthetic_instance(SyntheticSpec(n=10, seed=3)))
+    inst = build_instance(make_synthetic_instance(10, seed=3))
     rows = run_scaling_study([inst], [64], "sequential", iterations=1,
                              repetitions=1, seed=0, budget_ms=1e-6)
     assert len(rows) == 1
@@ -282,22 +277,34 @@ def test_scaling_study_budget_marker():
 
 
 def test_scaling_study_rejects_bad_mode():
-    inst = build_instance(make_synthetic_instance(SyntheticSpec(n=10, seed=3)))
+    inst = build_instance(make_synthetic_instance(10, seed=3))
     with pytest.raises(ValueError):
         run_scaling_study([inst], [4], "warp")
+
+
+@pytest.mark.parametrize("counts, named", [
+    (dict(iterations=0), "iterations must be >= 1, got 0"),
+    (dict(repetitions=0), "repetitions must be >= 1, got 0"),
+    (dict(iterations=-2), "iterations must be >= 1, got -2"),
+])
+def test_scaling_study_rejects_empty_samples(counts, named):
+    # no measured iteration would leave nan timings in a row marked ok
+    inst = build_instance(make_synthetic_instance(10, seed=3))
+    with pytest.raises(ValueError, match=named):
+        run_scaling_study([inst], [4], "batched", **counts)
 
 
 # shift study ---------------------------------------------------------------------
 
 def test_shift_study_requires_adaptive():
-    inst = build_instance(make_synthetic_instance(SyntheticSpec(n=8, seed=0)))
+    inst = build_instance(make_synthetic_instance(8, seed=0))
     with pytest.raises(ValueError):
         run_probability_shift_study(
             inst, AcoParams(m=4, k=1, selection=Selection.IR), 2)
 
 
 def test_shift_study_rows_and_gamma_one_matches_ir_probability():
-    inst = build_instance(make_synthetic_instance(SyntheticSpec(n=8, seed=0)))
+    inst = build_instance(make_synthetic_instance(8, seed=0))
     params = AcoParams(m=4, k=1, seed=5, selection=Selection.ADAIR,
                        gamma_schedule=GammaSchedule(1.0, 1.0, 10))
     rows = run_probability_shift_study(inst, params, 2, trials=40_000)
@@ -328,13 +335,37 @@ def test_shift_study_rows_and_gamma_one_matches_ir_probability():
 
 
 def test_shift_study_annealing_reports_schedule_gammas():
-    inst = build_instance(make_synthetic_instance(SyntheticSpec(n=8, seed=0)))
+    inst = build_instance(make_synthetic_instance(8, seed=0))
     params = AcoParams(m=4, k=1, seed=5, selection=Selection.ADAIR,
                        gamma_schedule=GammaSchedule(1.5, 1.0, 4))
     rows = run_probability_shift_study(inst, params, 4, trials=1000)
     gammas = [r["gamma"] for r in rows]
     assert gammas[0] == 1.5
     assert all(a >= b for a, b in zip(gammas, gammas[1:]))
+
+
+def test_shift_study_estimates_through_the_oracle():
+    inst = build_instance(make_synthetic_instance(8, seed=0))
+    params = AcoParams(m=4, k=1, seed=5, selection=Selection.ADAIR,
+                       gamma_schedule=GammaSchedule(1.5, 1.0, 4))
+    rows = run_probability_shift_study(inst, params, 4, trials=1500)
+    tau = PheromoneState.initial(inst.n, params.q0_tau)
+    prob = compute_probability_matrix(tau, inst, params)
+    for it, r in enumerate(rows):
+        row = prob.p[rng.start_cities(params.seed, it, params.m, inst.n)[0]]
+        row = row / row.sum()
+        freq = empirical_selection_distribution(Selection.ADAIR, row, r["gamma"], 1500,
+                                                seed=params.seed)
+        assert r["p_hat_max_prime"] == freq[int(np.argmax(row))]
+        _, tau, prob = iterate(tau, prob, inst, params, it)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_shift_study_rejects_trials_below_one(trials):
+    inst = build_instance(make_synthetic_instance(8, seed=0))
+    params = AcoParams(m=4, k=1, selection=Selection.ADAIR)
+    with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+        run_probability_shift_study(inst, params, 2, trials=trials)
 
 
 # pinned outputs -------------------------------------------------------------------
@@ -347,24 +378,25 @@ RECORD_DIGESTS = {
     "ir": "ca6b4f4d93a731856cd944eeb8ee91248c3c57adcd0eb6e9042209964e5aac56",
     "adair": "a679c1e0ce66bc6bc776219ac7fbf72818f0d6bb4df5634137f74b8cc14633bf",
 }
-SHIFT_DIGEST = "339e36725116f3f5c307127f962ba05d6d3937cab180f0963ee0c753676ea4e0"
-PINNED_SPEC = SyntheticSpec(n=20, seed=4)
+# Every row of the shift study reads the oracle estimator's block-0
+# deviates, so SHIFT_DIGEST changes with the estimator's keying.
+SHIFT_DIGEST = "60838f52a541b43b05a97c0ce23474b9dec6225c4eb0e78f42ec898f12c92378"
 
 
 @pytest.mark.parametrize("mech", list(Selection))
-def test_run_experiment_outputs_are_pinned(mech):
+def test_run_experiment_outputs_are_pinned(mech, rnd20):
     cfg = ExperimentConfig(
         params=AcoParams(m=8, k=2, selection=mech, max_iters=3, seed=7,
                          gamma_schedule=GammaSchedule(period=3)),
-        synthetic=PINNED_SPEC, repetitions=2)
+        instance_path=rnd20, repetitions=2)
     records, summaries = run_experiment(cfg, clock=FakeClock())
     runs = json.dumps([asdict(s) for s in summaries], sort_keys=True)
     digest = hashlib.sha256((records_csv_text(records) + runs).encode()).hexdigest()
     assert digest == RECORD_DIGESTS[mech.value]
 
 
-def test_shift_study_rows_are_pinned():
-    inst = build_instance(make_synthetic_instance(PINNED_SPEC))
+def test_shift_study_rows_are_pinned(rnd20):
+    inst = load_instance(ExperimentConfig(params=AcoParams(m=1, k=1), instance_path=rnd20))
     params = AcoParams(m=8, k=2, seed=5, selection=Selection.ADAIR,
                        gamma_schedule=GammaSchedule(1.5, 1.0, 4))
     buf = io.StringIO()

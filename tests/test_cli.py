@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from antbatch.bench import (
-    SyntheticSpec,
     config_to_dict,
     ExperimentConfig,
     make_synthetic_instance,
@@ -22,7 +21,7 @@ from conftest import PKG_DATA
 def inst_path(tmp_path):
     path = str(tmp_path / "t12.tsp")
     with open(path, "w", encoding="utf-8") as f:
-        f.write(serialize_instance(make_synthetic_instance(SyntheticSpec(n=12, seed=4))))
+        f.write(serialize_instance(make_synthetic_instance(12, seed=4)))
     return path
 
 
@@ -159,6 +158,28 @@ def test_shift_study_subcommand(inst_path, tmp_path):
     lines = read(out).splitlines()
     assert lines[0] == "iteration,gamma,p_max,p_hat_max_prime"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_shift_study_trials_below_one_is_one_line_error(inst_path, trials, capsys):
+    rc = main(["shift-study", inst_path, "--ants", "4", "--iters", "2",
+               "--trials", trials])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"antbatch: error: trials must be >= 1, got {trials}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("counts, named", [
+    (["--iterations", "0", "--reps", "1"], "iterations"),
+    (["--iterations", "1", "--reps", "0"], "repetitions"),
+])
+def test_scaling_empty_sample_is_one_line_error(inst_path, counts, named, capsys):
+    rc = main(["scaling", "--instances", inst_path, "--ants", "4", *counts])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"antbatch: error: {named} must be >= 1, got 0\n"
+    assert captured.out == ""
 
 
 def test_convergence_subcommand(inst_path, tmp_path, capsys):

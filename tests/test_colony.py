@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from antbatch import rng
-from antbatch.bench import SyntheticSpec, make_synthetic_instance
+from antbatch.bench import make_synthetic_instance
 from antbatch.colony import (
     NumericalUnderflow,
     RevisitedCity,
@@ -200,7 +200,7 @@ ITERATE_DIGESTS = {
 
 @pytest.mark.parametrize("mech", list(Selection))
 def test_iterate_outputs_are_pinned(mech):
-    inst = build_instance(make_synthetic_instance(SyntheticSpec(n=20, seed=4)))
+    inst = build_instance(make_synthetic_instance(20, seed=4))
     params = AcoParams(m=8, k=2, selection=mech, seed=7,
                        gamma_schedule=GammaSchedule(period=3))
     tau = PheromoneState.initial(inst.n, params.q0_tau)

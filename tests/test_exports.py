@@ -19,3 +19,27 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_package_modules_import_no_unused_name():
+    # no linter runs on this package, so this stands in for pyflakes' F401;
+    # __init__.py re-exports by design, and a line marked noqa: F401 keeps
+    # a name reachable for callers outside the package
+    found = []
+    for path in sorted(Path(antbatch.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text, filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and "noqa: F401" not in lines[alias.lineno - 1]:
+                    found.append(f"{path.name}:{alias.lineno} {name}")
+    assert found == []
