@@ -72,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run one experiment on an instance")
-    solve.add_argument("instance", help="TSPLIB .tsp file")
+    solve.add_argument("instance", nargs="?", default=None,
+                       help="TSPLIB .tsp file (default: --config's instance_path)")
     _add_param_flags(solve)
     solve.add_argument("--selection", choices=[s.value for s in Selection],
                        default=None)
@@ -131,9 +132,9 @@ _PARAM_FLAGS = {"ants": "m", "elite": "k", "alpha": "alpha", "beta": "beta",
                 "rho": "rho", "seed": "seed", "iters": "max_iters"}
 _SCHEDULE_FLAGS = {"gamma_max": "gamma_max", "gamma_min": "gamma_min",
                    "period": "period"}
-_CONFIG_FLAGS = {"reps": "repetitions", "time_limit": "time_limit_seconds",
-                 "out": "output_path", "summary": "summary_path",
-                 "best_known": "best_known"}
+_CONFIG_FLAGS = {"instance": "instance_path", "reps": "repetitions",
+                 "time_limit": "time_limit_seconds", "out": "output_path",
+                 "summary": "summary_path", "best_known": "best_known"}
 
 
 def _given(args, flags: dict) -> dict:
@@ -184,11 +185,13 @@ def _cmd_solve(args) -> int:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as f:
             base = config_from_dict(json.load(f))
+    elif args.instance is None:
+        raise ValueError("solve needs an instance file or a --config naming one")
     else:
         iters = _TIME_LIMIT_ITER_CAP if args.time_limit is not None else 1000
         base = ExperimentConfig(params=_default_params(args, iters),
                                 instance_path=args.instance)
-    config = replace(base, params=_overlay(args, base.params), instance_path=args.instance,
+    config = replace(base, params=_overlay(args, base.params),
                      lenient=args.lenient or base.lenient, **_given(args, _CONFIG_FLAGS))
 
     records, summaries = _run_and_write(config, load_instance(config))

@@ -3,10 +3,11 @@ driver that advances all m ants together, and ``iterate``, which chains
 construction, elite deposit, evaporation and the next transition matrix.
 
 One iteration's randomness is addressed per construction step: step s draws
-one (m, n) deviate block covering every ant (rng module), so an ant's
-choices never depend on how the others are scheduled. The argmax mechanisms
-consume the full block through ``selection.argmax_select_block``; the
-roulette wheel consumes one threshold per ant (the uniform view of the
+one (m, n) deviate block covering every ant, keyed by the step (the rng
+module derives all of an iteration's step keys before its first step), so
+an ant's choices never depend on how the others are scheduled. The argmax
+mechanisms consume the full block through ``selection.argmax_select_block``;
+the roulette wheel consumes one threshold per ant (the uniform view of the
 block's first column) and runs all spins in lockstep through
 ``selection.rw_spin_block``, a row-wise prefix-sum kernel. These two kernels
 are the only vectorized implementations of the selection rules; they take
@@ -82,6 +83,7 @@ def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
         table = scaled_log_weights(p.p, gamma)
         draw, kernel = rng.step_exponentials, argmax_select_block
 
+    keys = rng.step_keys(params.seed, iteration, n)
     current = rng.start_cities(params.seed, iteration, m, n)
     rows = np.arange(m)
     visited = np.zeros((m, n), dtype=bool)
@@ -91,8 +93,7 @@ def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
     scratch = np.empty((m, n))
 
     for step in range(1, n):
-        nxt = kernel(table, current, draw(params.seed, iteration, step, m, n),
-                     visited, scratch)
+        nxt = kernel(table, current, draw(keys, step, m, n), visited, scratch)
         revisits = visited[rows, nxt]
         if revisits.any():
             a = int(np.argmax(revisits))

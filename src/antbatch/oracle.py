@@ -144,6 +144,7 @@ def sequential_aco_step(tau: PheromoneState, inst: TspInstance, params: AcoParam
     else:
         rows = scaled_log_weights(p, gamma).tolist()
 
+    keys = rng.step_keys(params.seed, iteration, n)
     starts = rng.start_cities(params.seed, iteration, m, n)
     tours = [[int(starts[a])] for a in range(m)]
     visited = [[False] * n for _ in range(m)]
@@ -152,7 +153,7 @@ def sequential_aco_step(tau: PheromoneState, inst: TspInstance, params: AcoParam
 
     for step in range(1, n):
         if mech is Selection.RW:
-            u = rng.step_uniforms(params.seed, iteration, step, m, n)
+            u = rng.step_uniforms(keys, step, m, n)
             for a in range(m):
                 row = rows[tours[a][-1]]
                 vis = visited[a]
@@ -178,7 +179,7 @@ def sequential_aco_step(tau: PheromoneState, inst: TspInstance, params: AcoParam
                 tours[a].append(choice)
                 vis[choice] = True
         else:
-            e_block = rng.step_exponentials(params.seed, iteration, step, m, n).tolist()
+            e_block = rng.step_exponentials(keys, step, m, n).tolist()
             for a in range(m):
                 row = rows[tours[a][-1]]
                 e = e_block[a]

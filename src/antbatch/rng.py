@@ -15,11 +15,17 @@ roulette wheel reads one element per row through the uniform view
 u = exp(-E). Switching mechanisms therefore never changes the randomness a
 step draws, and timing comparisons between mechanisms isolate kernel cost
 rather than deviate-generation cost. An ant's substream is identified by
-``(seed, iteration, step, ant-row)`` without paying one generator
-construction per ant.
+``(seed, iteration, step, ant-row)`` without a generator built per ant, and
+none is built per step either: a Philox stream is fully set by its 128-bit
+key (its counter starts at 0), so ``step_keys`` derives the keys of all
+steps of an iteration in one vectorized pass of SeedSequence's hash, bit for
+bit the keys ``stream`` would seed, and each step re-keys one module-level
+Philox.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -28,6 +34,16 @@ import numpy as np
 DOMAIN_CONSTRUCT = 0
 DOMAIN_START = 1
 DOMAIN_MC = 2
+
+# numpy.random.SeedSequence's hash: its pool size and constants
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 def stream(seed: int, domain: int, *key: int) -> np.random.Generator:
@@ -39,17 +55,98 @@ def stream(seed: int, domain: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def step_exponentials(seed: int, iteration: int, step: int, m: int, n: int) -> np.ndarray:
+def _words(x: int) -> list[int]:
+    """x as SeedSequence reads an integer: 32-bit words, least significant
+    first, at least one."""
+    x = operator.index(x)
+    out = [x & _MASK32]
+    while x := x >> 32:
+        out.append(x & _MASK32)
+    return out
+
+
+def step_keys(seed: int, iteration: int, n: int) -> np.ndarray:
+    """Philox keys of the construction steps 0..n-1 of one iteration, (n, 2) uint64.
+
+    Row s is bitwise ``SeedSequence(entropy=seed, spawn_key=(DOMAIN_CONSTRUCT,
+    iteration, s)).generate_state(2, np.uint64)``, the key ``stream(seed,
+    DOMAIN_CONSTRUCT, iteration, s)`` seeds its Philox with. The hash below
+    is SeedSequence's, word for word, in uint32 arithmetic held in Python
+    ints and uint64 lanes (masked after every product and difference). Its
+    hash constants do not depend on the data, and the step is the last
+    entropy word, so everything before it is one scalar pass shared by all
+    rows and only the final rounds run n lanes wide.
+    """
+    if seed < 0 or iteration < 0:
+        raise ValueError(
+            f"expected a non-negative seed and iteration, got {seed} and {iteration}")
+    run = _words(seed)
+    run += [0] * (_POOL_SIZE - len(run))  # a spawned sequence pads its entropy
+    entropy = [*run, *_words(DOMAIN_CONSTRUCT), *_words(iteration),
+               np.arange(n, dtype=np.uint64)]
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(2, uint64): four uint32 words from the pool, paired
+    # least significant first
+    hash_const = _INIT_B
+    state = []
+    for value in pool:
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state.append(value ^ (value >> 16))
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+_STEP_PHILOX = np.random.Philox(key=0)
+_STEP_GENERATOR = np.random.Generator(_STEP_PHILOX)
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+
+
+def step_exponentials(keys: np.ndarray, step: int, m: int, n: int) -> np.ndarray:
     """Exp(1) deviate block for one construction step, shape (m, n).
 
-    Row a belongs to ant a. Used by the argmax-based selection mechanisms;
-    with r = exp(-E) these are i.i.d. uniforms on the open interval (0, 1).
+    ``keys`` is the iteration's ``step_keys``. Row a belongs to ant a. Used
+    by the argmax-based selection mechanisms; with r = exp(-E) these are
+    i.i.d. uniforms on the open interval (0, 1). The whole state of the
+    module's Philox is reset (the step's key, counter 0, empty buffer)
+    before the draw, so the block depends only on the arguments and equals
+    ``stream(seed, DOMAIN_CONSTRUCT, iteration, step).standard_exponential((m, n))``.
+    The Philox is shared, so calls must not run in several threads at once.
     """
-    g = stream(seed, DOMAIN_CONSTRUCT, iteration, step)
-    return g.standard_exponential((m, n))
+    _STEP_PHILOX.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": keys[step]},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return _STEP_GENERATOR.standard_exponential((m, n))
 
 
-def step_uniforms(seed: int, iteration: int, step: int, m: int, n: int) -> np.ndarray:
+def step_uniforms(keys: np.ndarray, step: int, m: int, n: int) -> np.ndarray:
     """Uniform(0,1) threshold per ant for one construction step, shape (m,).
 
     The uniform view of the step's deviate block: u = exp(-E) of the block's
@@ -59,7 +156,7 @@ def step_uniforms(seed: int, iteration: int, step: int, m: int, n: int) -> np.nd
     lockstep pipeline and the sequential reference call this one function,
     which keeps their thresholds bit-identical.
     """
-    return np.exp(-step_exponentials(seed, iteration, step, m, n)[:, 0])
+    return np.exp(-step_exponentials(keys, step, m, n)[:, 0])
 
 
 def start_cities(seed: int, iteration: int, m: int, n: int) -> np.ndarray:

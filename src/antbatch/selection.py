@@ -34,8 +34,9 @@ and finishes them as plain IR.
 Each rule has exactly one vectorized implementation, a lockstep kernel over
 a block of rows: ``rw_spin_block`` for the wheel and ``argmax_select_block``
 for both argmax mechanisms, with the same arguments (a bool ``visited``
-mask bars cities). The colony calls them with one row per ant at every
-construction step, and the Monte-Carlo estimator
+mask bars cities: the wheel multiplies their weights by zero, the argmax
+kernel subtracts +inf from their scores). The colony calls them with one
+row per ant at every construction step, and the Monte-Carlo estimator
 (``oracle.empirical_selection_distribution``) with one row per trial, so the
 closed-form distribution checks measure the code the colony runs. The
 scalar loops of ``oracle.sequential_aco_step`` are the independent reference
@@ -121,13 +122,18 @@ def argmax_select_block(table: np.ndarray, current: np.ndarray, deviates: np.nda
 
     Gathers each ant's row of the log-weight ``table``, subtracts that ant's
     row of Exp(1) ``deviates``, bars the cities ``visited`` marks, and
-    reduces with a row argmax. Ties (probability zero in exact arithmetic,
-    possible in floats) resolve to the lowest index, matching numpy's
-    argmax. ``scratch`` is a caller-owned (m, n) buffer.
+    reduces with a row argmax. The bar is IEEE arithmetic, not a masked
+    copy: ``visited / ~visited`` is +inf at visited cities and +0.0
+    elsewhere, and subtracting it makes every visited score -inf and leaves
+    every other score's bits as they were (x - 0.0 is x, -0.0 included).
+    Ties (probability zero in exact arithmetic, possible in floats) resolve
+    to the lowest index, matching numpy's argmax. ``scratch`` is a
+    caller-owned (m, n) buffer.
     """
     np.take(table, current, axis=0, out=scratch)
     np.subtract(scratch, deviates, out=scratch)
-    np.copyto(scratch, -np.inf, where=visited)
+    with np.errstate(divide="ignore"):
+        np.subtract(scratch, np.divide(visited, ~visited), out=scratch)
     return scratch.argmax(axis=1)
 
 

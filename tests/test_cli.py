@@ -82,6 +82,47 @@ def test_solve_config_file_with_flag_override(inst_path, tmp_path):
     assert lines[1].split(",")[1] == "3"  # file's seed survived
 
 
+def _config_file(tmp_path, instance_path):
+    cfg = ExperimentConfig(params=AcoParams(m=4, k=1, max_iters=2, seed=5),
+                           instance_path=instance_path)
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump(config_to_dict(cfg), f)
+    return cfg_path
+
+
+def test_solve_reads_instance_from_config(tmp_path):
+    # the config names rnd120 and no positional is given: that file is run
+    summary = str(tmp_path / "run.json")
+    cfg_path = _config_file(tmp_path, os.path.join(PKG_DATA, "rnd120.tsp"))
+    rc = main(["solve", "--config", cfg_path,
+               "--ants", "3", "--iters", "1", "--out", str(tmp_path / "run.csv"),
+               "--summary", summary])
+    assert rc == 0
+    doc = json.loads(read(summary))
+    assert doc["instance"]["n"] == 120
+    assert doc["config"]["instance_path"].endswith("rnd120.tsp")
+
+
+def test_solve_positional_instance_overrides_config(inst_path, tmp_path):
+    summary = str(tmp_path / "run.json")
+    cfg_path = _config_file(tmp_path, os.path.join(PKG_DATA, "rnd120.tsp"))
+    rc = main(["solve", inst_path, "--config", cfg_path,
+               "--ants", "3", "--iters", "1", "--out", str(tmp_path / "run.csv"),
+               "--summary", summary])
+    assert rc == 0
+    doc = json.loads(read(summary))
+    assert doc["instance"]["n"] == 12
+    assert doc["config"]["instance_path"] == inst_path
+
+
+def test_solve_without_instance_or_config_is_one_line_error(capsys):
+    rc = main(["solve", "--ants", "3", "--iters", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "antbatch: error: solve needs an instance file or a --config naming one\n"
+
+
 def test_config_with_unknown_key_is_one_line_error(inst_path, tmp_path, capsys):
     d = config_to_dict(ExperimentConfig(params=AcoParams(m=5, k=1),
                                         instance_path=inst_path))

@@ -107,6 +107,25 @@ def test_construct_tours_deterministic(mech):
     assert not np.array_equal(a.tours, c.tours)
 
 
+@pytest.mark.parametrize("mech", list(Selection))
+def test_construct_tours_builds_one_seed_sequence(mech, monkeypatch):
+    # the step streams are re-keyed from keys derived once per iteration;
+    # only the start-city stream goes through a SeedSequence
+    inst = make(15, seed=2)
+    params = params_for(inst, mech, m=4)
+    p = compute_probability_matrix(PheromoneState.initial(15, 1.0), inst, params)
+    built = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    construct_tours(p, inst, params, iteration=1)
+    assert len(built) <= 1
+
+
 def test_construct_tours_seed_decorrelates():
     inst = make(9, seed=4)
     pa = params_for(inst, Selection.IR, m=6, seed=1)

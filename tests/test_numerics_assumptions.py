@@ -113,3 +113,19 @@ def test_take_rows_equals_row_indexing():
     out = np.empty((30, 7))
     np.take(a, idx, axis=0, out=out)
     assert np.array_equal(out, a[idx])
+
+
+def test_bool_division_bars_visited_cities_exactly():
+    # argmax_select_block subtracts visited / ~visited from the scores:
+    # +inf at visited cities, +0.0 elsewhere
+    visited = np.array([True, False])
+    with np.errstate(divide="ignore"):
+        bar = np.divide(visited, ~visited)
+    assert bar.dtype == np.float64
+    assert bar[0] == np.inf
+    assert bar[1] == 0.0 and not np.signbit(bar[1])
+    # x - 0.0 keeps every bit of x, -0.0 and -inf included ...
+    x = np.array([-0.0, 0.0, -1e-310, -3.25, -1e300, -np.inf])
+    assert (x - 0.0).tobytes() == x.tobytes()
+    # ... and x - inf is -inf for each of them
+    assert np.all(x - np.inf == -np.inf)

@@ -3,6 +3,9 @@
 isolation. That property is what the oracle equivalence tests stand on."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antbatch import rng
 
@@ -24,28 +27,65 @@ def test_distinct_keys_distinct_streams():
         assert not np.array_equal(base, other.standard_exponential(32))
 
 
+_EDGE_SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1])
+
+
+@given(st.one_of(_EDGE_SEEDS, st.integers(0, 2**64 - 1)),
+       st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]), st.integers(0, 2**40 - 1)),
+       st.sampled_from([1, 2, 7, 120]))
+@settings(max_examples=60, deadline=None)
+def test_step_keys_are_seed_sequence_keys(seed, iteration, n):
+    keys = rng.step_keys(seed, iteration, n)
+    assert keys.dtype == np.uint64 and keys.shape == (n, 2)
+    expected = np.array([
+        np.random.SeedSequence(entropy=seed, spawn_key=(rng.DOMAIN_CONSTRUCT, iteration, s))
+        .generate_state(2, np.uint64) for s in range(n)])
+    assert keys.tobytes() == expected.tobytes()
+
+
+@given(st.one_of(_EDGE_SEEDS, st.integers(0, 2**64 - 1)), st.integers(0, 2**40 - 1),
+       st.integers(1, 8), st.integers(2, 40), st.data())
+@settings(max_examples=40, deadline=None)
+def test_step_blocks_are_the_keyed_streams(seed, iteration, m, n, data):
+    keys = rng.step_keys(seed, iteration, n)
+    # draw out of order, so a left-over generator state would show
+    for step in data.draw(st.permutations(range(1, n)))[:5]:
+        direct = rng.stream(seed, rng.DOMAIN_CONSTRUCT, iteration, step)
+        e = rng.step_exponentials(keys, step, m, n)
+        assert e.tobytes() == direct.standard_exponential((m, n)).tobytes()
+
+
+def test_step_keys_reject_negative_inputs():
+    with pytest.raises(ValueError):
+        rng.step_keys(-1, 0, 4)
+    with pytest.raises(ValueError):
+        rng.step_keys(0, -1, 4)
+
+
 def test_step_exponentials_shape_and_determinism():
-    e1 = rng.step_exponentials(1, 5, 2, 6, 9)
-    e2 = rng.step_exponentials(1, 5, 2, 6, 9)
+    keys = rng.step_keys(1, 5, 9)
+    e1 = rng.step_exponentials(keys, 2, 6, 9)
+    e2 = rng.step_exponentials(keys, 2, 6, 9)
     assert e1.shape == (6, 9)
     assert np.array_equal(e1, e2)
     # different iteration or step decorrelates
-    assert not np.array_equal(e1, rng.step_exponentials(1, 6, 2, 6, 9))
-    assert not np.array_equal(e1, rng.step_exponentials(1, 5, 3, 6, 9))
+    assert not np.array_equal(e1, rng.step_exponentials(rng.step_keys(1, 6, 9), 2, 6, 9))
+    assert not np.array_equal(e1, rng.step_exponentials(keys, 3, 6, 9))
 
 
 def test_step_uniforms_are_the_blocks_first_column():
-    u = rng.step_uniforms(3, 0, 1, 1000, 50)
+    keys = rng.step_keys(3, 0, 50)
+    u = rng.step_uniforms(keys, 1, 1000, 50)
     assert u.shape == (1000,)
     assert np.all(u > 0.0) and np.all(u <= 1.0)
     # the uniform view of the shared deviate block, not a separate stream
-    e = rng.step_exponentials(3, 0, 1, 1000, 50)
+    e = rng.step_exponentials(keys, 1, 1000, 50)
     assert np.array_equal(u, np.exp(-e[:, 0]))
 
 
 def test_exponentials_are_positive():
     # log-domain selection needs strictly positive deviates: e^-E < 1
-    e = rng.step_exponentials(3, 0, 1, 100, 100)
+    e = rng.step_exponentials(rng.step_keys(3, 0, 100), 1, 100, 100)
     assert np.all(e > 0.0)
 
 

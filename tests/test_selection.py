@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from antbatch import rng
 from antbatch.model import GammaSchedule
@@ -125,6 +126,31 @@ def test_argmax_select_block_masks_visited():
                               np.empty((2, 3)))
     assert got[0] == 0
     assert got[1] in (1, 2)
+
+
+# few distinct values, so that ties are common; -inf is a zero weight
+_LOG_WEIGHTS = st.sampled_from([-np.inf, -7.25, -1.0, -0.5, -0.0, 0.0]) | st.floats(-50.0, 0.0)
+_DEVIATES = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 40.0)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_argmax_select_block_is_the_masked_argmax(data):
+    n = data.draw(st.integers(1, 9))
+    m = data.draw(st.integers(1, 6))
+    table = data.draw(arrays(np.float64, (n, n), elements=_LOG_WEIGHTS))
+    if data.draw(st.booleans()):
+        table[data.draw(st.integers(0, n - 1))] = -np.inf
+    current = data.draw(arrays(np.int64, m, elements=st.integers(0, n - 1)))
+    deviates = data.draw(arrays(np.float64, (m, n), elements=_DEVIATES))
+    visited = data.draw(arrays(np.bool_, (m, n)))
+    if data.draw(st.booleans()):
+        a = data.draw(st.integers(0, m - 1))
+        visited[a] = True
+        visited[a, data.draw(st.integers(0, n - 1))] = False
+    expected = np.where(visited, -np.inf, table[current] - deviates).argmax(1)
+    got = argmax_select_block(table, current, deviates, visited, np.empty((m, n)))
+    assert np.array_equal(got, expected)
 
 
 def test_power_domain_and_log_domain_agree():
