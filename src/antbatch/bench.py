@@ -72,6 +72,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.params.seed + self.repetitions - 1 >= 2**64:
+            # run r uses seed base+r, and every seed must fit in 64 bits
+            raise ValueError(
+                f"seed {self.params.seed} with {self.repetitions} repetitions runs "
+                f"past the largest seed, 2**64 - 1")
         if self.time_limit_seconds is not None and self.time_limit_seconds <= 0:
             raise ValueError("time_limit_seconds must be positive")
 

@@ -2,10 +2,9 @@
 
 Every random draw in a run is addressed by an explicit key
 ``(seed, domain, *indices)`` rather than by position in one global stream.
-Streams are Philox counter-based generators seeded through
-``numpy.random.SeedSequence`` spawn keys, so any consumer (the batched
-pipeline, the sequential reference) regenerates identical values for the
-same key regardless of execution order or width.
+Each key is a ``numpy.random.SeedSequence`` spawn key, so any consumer (the
+batched pipeline, the sequential reference) regenerates identical values for
+the same key regardless of execution order or width.
 
 Construction randomness is drawn in per-step blocks: at iteration ``it``,
 step ``step``, the colony draws one (m, n) block of Exp(1) deviates covering
@@ -16,11 +15,17 @@ u = exp(-E). Switching mechanisms therefore never changes the randomness a
 step draws, and timing comparisons between mechanisms isolate kernel cost
 rather than deviate-generation cost. An ant's substream is identified by
 ``(seed, iteration, step, ant-row)`` without a generator built per ant, and
-none is built per step either: a Philox stream is fully set by its 128-bit
-key (its counter starts at 0), so ``step_keys`` derives the keys of all
-steps of an iteration in one vectorized pass of SeedSequence's hash, bit for
-bit the keys ``stream`` would seed, and each step re-keys one module-level
-Philox.
+none is built per step either. The step blocks are the hot path, so they
+come from SFC64, which draws them in about half of Philox's time: an SFC64
+stream is fully set by its four state words, so ``step_keys`` derives the
+starting states of all steps of an iteration in one vectorized pass of
+SeedSequence's hash and SFC64's seeding, bit for bit the states numpy would
+seed from the same spawn keys, and each step re-keys one module-level SFC64.
+
+Start cities and Monte-Carlo blocks come from ``stream``, a Philox generator
+per key. They are drawn once per iteration or per block, off the hot path,
+and pinned outputs (the start cities of every run, the estimator's
+frequencies) depend on their bits.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ _MASK32 = 0xFFFFFFFF
 
 
 def stream(seed: int, domain: int, *key: int) -> np.random.Generator:
-    """Return the Generator addressed by (seed, domain, *key).
+    """Return the Philox Generator addressed by (seed, domain, *key).
 
     The same arguments always yield a generator in the same initial state.
     """
@@ -66,16 +71,18 @@ def _words(x: int) -> list[int]:
 
 
 def step_keys(seed: int, iteration: int, n: int) -> np.ndarray:
-    """Philox keys of the construction steps 0..n-1 of one iteration, (n, 2) uint64.
+    """SFC64 states of the construction steps 0..n-1 of one iteration, (n, 4) uint64.
 
-    Row s is bitwise ``SeedSequence(entropy=seed, spawn_key=(DOMAIN_CONSTRUCT,
-    iteration, s)).generate_state(2, np.uint64)``, the key ``stream(seed,
-    DOMAIN_CONSTRUCT, iteration, s)`` seeds its Philox with. The hash below
+    Row s is bitwise the state numpy's ``SFC64(SeedSequence(entropy=seed,
+    spawn_key=(DOMAIN_CONSTRUCT, iteration, s)))`` starts in. The hash below
     is SeedSequence's, word for word, in uint32 arithmetic held in Python
     ints and uint64 lanes (masked after every product and difference). Its
     hash constants do not depend on the data, and the step is the last
     entropy word, so everything before it is one scalar pass shared by all
-    rows and only the final rounds run n lanes wide.
+    rows and only the final rounds run n lanes wide. SFC64's own seeding
+    then runs on the same lanes: the first three state words from
+    ``generate_state(3, np.uint64)``, the counter at 1, and 12 rounds whose
+    outputs are discarded.
     """
     if seed < 0 or iteration < 0:
         raise ValueError(
@@ -107,21 +114,42 @@ def step_keys(seed: int, iteration: int, n: int) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
 
-    # generate_state(2, uint64): four uint32 words from the pool, paired
-    # least significant first
+    # generate_state(3, uint64): six uint32 words cycling over the pool,
+    # paired least significant first
     hash_const = _INIT_B
-    state = []
-    for value in pool:
-        value = value ^ hash_const
+    words = []
+    for i in range(6):
+        value = pool[i % _POOL_SIZE] ^ hash_const
         hash_const = (hash_const * _MULT_B) & _MASK32
         value = (value * hash_const) & _MASK32
-        state.append(value ^ (value >> 16))
-    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+        words.append(value ^ (value >> 16))
+    lanes = np.empty((4, n), dtype=np.uint64)
+    s0, s1, s2, s3 = lanes
+    for i, s in enumerate((s0, s1, s2)):
+        np.bitwise_or(words[2 * i], words[2 * i + 1] << 32, out=s)
+
+    # sfc64_next, 12 times: tmp = s0 + s1 + s3++; s0 = s1 ^ (s1 >> 11);
+    # s1 = s2 + (s2 << 3); s2 = rotl(s2, 24) + tmp. The counter s3 is the
+    # same in every lane, so it is a scalar until the end and its row is
+    # scratch for the rotation until then.
+    tmp = np.empty(n, dtype=np.uint64)
+    for counter in range(1, 13):
+        np.add(s0, s1, out=tmp)
+        tmp += np.uint64(counter)
+        np.right_shift(s1, 11, out=s0)
+        s0 ^= s1
+        np.left_shift(s2, 3, out=s1)
+        s1 += s2
+        np.left_shift(s2, 24, out=s3)
+        s2 >>= 40
+        s2 |= s3
+        s2 += tmp
+    s3.fill(13)
+    return np.ascontiguousarray(lanes.T)
 
 
-_STEP_PHILOX = np.random.Philox(key=0)
-_STEP_GENERATOR = np.random.Generator(_STEP_PHILOX)
-_ZERO4 = np.zeros(4, dtype=np.uint64)
+_STEP_SFC64 = np.random.SFC64(0)
+_STEP_GENERATOR = np.random.Generator(_STEP_SFC64)
 
 
 def step_exponentials(keys: np.ndarray, step: int, m: int, n: int) -> np.ndarray:
@@ -130,16 +158,15 @@ def step_exponentials(keys: np.ndarray, step: int, m: int, n: int) -> np.ndarray
     ``keys`` is the iteration's ``step_keys``. Row a belongs to ant a. Used
     by the argmax-based selection mechanisms; with r = exp(-E) these are
     i.i.d. uniforms on the open interval (0, 1). The whole state of the
-    module's Philox is reset (the step's key, counter 0, empty buffer)
-    before the draw, so the block depends only on the arguments and equals
-    ``stream(seed, DOMAIN_CONSTRUCT, iteration, step).standard_exponential((m, n))``.
-    The Philox is shared, so calls must not run in several threads at once.
+    module's SFC64 is reset (the step's four state words, no buffered
+    32-bit half) before the draw, so the block depends only on the arguments
+    and equals ``Generator(SFC64(SeedSequence(entropy=seed,
+    spawn_key=(DOMAIN_CONSTRUCT, iteration, step)))).standard_exponential((m, n))``.
+    The SFC64 is shared, so calls must not run in several threads at once.
     """
-    _STEP_PHILOX.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO4, "key": keys[step]},
-        "buffer": _ZERO4,
-        "buffer_pos": 4,
+    _STEP_SFC64.state = {
+        "bit_generator": "SFC64",
+        "state": {"state": keys[step]},
         "has_uint32": 0,
         "uinteger": 0,
     }

@@ -125,6 +125,15 @@ def test_config_from_dict_names_the_bad_key(edit, named, rnd10):
         config_from_dict(d)
 
 
+def test_config_rejects_repetitions_past_the_largest_seed(rnd10):
+    d = json.loads(json.dumps(config_to_dict(tiny_config(
+        rnd10, params=AcoParams(m=4, k=1, seed=2**64 - 1)))))
+    assert config_from_dict(d).params.seed == 2**64 - 1  # one run still fits
+    d["repetitions"] = 2
+    with pytest.raises(ValueError, match=rf"^seed {2**64 - 1} with 2 repetitions runs"):
+        config_from_dict(d)
+
+
 # run_experiment ----------------------------------------------------------------
 
 def test_run_experiment_record_invariants(rnd10):
@@ -370,17 +379,19 @@ def test_shift_study_rejects_trials_below_one(trials):
 
 # pinned outputs -------------------------------------------------------------------
 
-# sha256 of seeded outputs, computed before colony.iterate replaced the three
-# inline copies of the iteration loop. The digests are of repr'd floats, so
-# they assume IEEE doubles and the numpy/libm results of an x86-64 Linux build.
+# sha256 of seeded outputs, recorded when the step blocks moved from Philox
+# to SFC64 (the tours, and so every record, depend on the step blocks' bits).
+# The digests are of repr'd floats, so they assume IEEE doubles and the
+# numpy/libm results of an x86-64 Linux build.
 RECORD_DIGESTS = {
-    "rw": "3758f1902adddea79671f42229f38bd4e05298a4aae508b5124270b03f24c16b",
-    "ir": "ca6b4f4d93a731856cd944eeb8ee91248c3c57adcd0eb6e9042209964e5aac56",
-    "adair": "a679c1e0ce66bc6bc776219ac7fbf72818f0d6bb4df5634137f74b8cc14633bf",
+    "rw": "37fd8b6c64f066743a88d69827160e735f696d0a4806d1365be929693db237e3",
+    "ir": "fd0d19ef05be61331ad2ebf24f0e98c8f663df3e7cbecae7335fb42d76a7999a",
+    "adair": "50087351b15f917b3d63306321fd2b0f82daaf3dadaac3ee3ecf4b61d6e64758",
 }
 # Every row of the shift study reads the oracle estimator's block-0
-# deviates, so SHIFT_DIGEST changes with the estimator's keying.
-SHIFT_DIGEST = "60838f52a541b43b05a97c0ce23474b9dec6225c4eb0e78f42ec898f12c92378"
+# deviates, so SHIFT_DIGEST changes with the estimator's keying; the study
+# runs colony.iterate between rows, so it changes with the step blocks' too.
+SHIFT_DIGEST = "e05d53d54019d0f1b6719b50dac732a8447ca4a3f6777ec9f7ed5e18946cf7f0"
 
 
 @pytest.mark.parametrize("mech", list(Selection))

@@ -155,6 +155,17 @@ def test_high_beta_underflow_is_one_line_error(optimize):
     assert "already-visited city" in lines[0] and "step" in lines[0]
 
 
+def test_seed_overflow_across_repetitions_fails_before_any_run(inst_path, tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    rc = main(["solve", inst_path, "--seed", str(2**64 - 1), "--reps", "2",
+               "--iters", "3", "--ants", "4", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (f"antbatch: error: seed {2**64 - 1} with 2 repetitions runs "
+                   "past the largest seed, 2**64 - 1\n")
+    assert not out.exists()
+
+
 def test_missing_file_is_error(capsys):
     rc = main(["solve", "/no/such/file.tsp", "--iters", "1"])
     assert rc == 2

@@ -205,15 +205,14 @@ def test_iterate_chains_the_pipeline_in_order(mech):
     assert np.array_equal(prob1.p, compute_probability_matrix(tau1, inst, params).p)
 
 
-# Computed with the explicit construct -> elite -> deposit -> evaporate ->
-# refresh sequence before colony.iterate replaced it: tours, costs, tau and
-# the transition matrix of three iterations on a 20-city instance. The
-# digests are of float bits, so they assume IEEE doubles and the numpy/libm
-# results of an x86-64 Linux build.
+# Tours, costs, tau and the transition matrix of three iterations on a
+# 20-city instance, recorded when the step blocks moved from Philox to SFC64.
+# The digests are of float bits, so they assume IEEE doubles and the
+# numpy/libm results of an x86-64 Linux build.
 ITERATE_DIGESTS = {
-    "rw": "994a88181e0a0edbfb49f44c400685f775fb1e1195f160f913e0828950fc652b",
-    "ir": "4a4c2d3efb0f4d57860e3caaac3c406204d7afd49247248040c28797c0295cc4",
-    "adair": "dcf22e856b9eb84a14a5bed6467ae5e978274b7fb6baf71cec19a90107f8c126",
+    "rw": "b95c78b42dec7392caebe60c7a715294b9dc772ae689f1f7f44b19abb3f94191",
+    "ir": "3afd05884f6378c3ac94a043e12e3004c54f6d3192aa49978848b072dd6f9a78",
+    "adair": "62727cb301c7b49810219c64dba8560dd0a5c0f7bf28eb0da1e81c02502cfdff",
 }
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from antbatch import rng
 
@@ -36,10 +37,11 @@ _EDGE_SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1])
 @settings(max_examples=60, deadline=None)
 def test_step_keys_are_seed_sequence_keys(seed, iteration, n):
     keys = rng.step_keys(seed, iteration, n)
-    assert keys.dtype == np.uint64 and keys.shape == (n, 2)
+    assert keys.dtype == np.uint64 and keys.shape == (n, 4)
     expected = np.array([
-        np.random.SeedSequence(entropy=seed, spawn_key=(rng.DOMAIN_CONSTRUCT, iteration, s))
-        .generate_state(2, np.uint64) for s in range(n)])
+        np.random.SFC64(np.random.SeedSequence(
+            entropy=seed, spawn_key=(rng.DOMAIN_CONSTRUCT, iteration, s)))
+        .state["state"]["state"] for s in range(n)])
     assert keys.tobytes() == expected.tobytes()
 
 
@@ -50,7 +52,8 @@ def test_step_blocks_are_the_keyed_streams(seed, iteration, m, n, data):
     keys = rng.step_keys(seed, iteration, n)
     # draw out of order, so a left-over generator state would show
     for step in data.draw(st.permutations(range(1, n)))[:5]:
-        direct = rng.stream(seed, rng.DOMAIN_CONSTRUCT, iteration, step)
+        direct = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+            entropy=seed, spawn_key=(rng.DOMAIN_CONSTRUCT, iteration, step))))
         e = rng.step_exponentials(keys, step, m, n)
         assert e.tobytes() == direct.standard_exponential((m, n)).tobytes()
 
@@ -81,6 +84,31 @@ def test_step_uniforms_are_the_blocks_first_column():
     # the uniform view of the shared deviate block, not a separate stream
     e = rng.step_exponentials(keys, 1, 1000, 50)
     assert np.array_equal(u, np.exp(-e[:, 0]))
+
+
+@pytest.fixture(scope="module")
+def colony_step_draws():
+    """The draws of one construction at (m, n) = (50, 200), seed 0,
+    iteration 0: the Exp(1) blocks and the wheel thresholds of steps 1..199."""
+    m, n = 50, 200
+    keys = rng.step_keys(0, 0, n)
+    steps = range(1, n)
+    return {
+        "exponentials": np.stack([rng.step_exponentials(keys, s, m, n) for s in steps]),
+        "uniforms": np.stack([rng.step_uniforms(keys, s, m, n) for s in steps]),
+    }
+
+
+@pytest.mark.parametrize("draw, cdf", [("exponentials", "expon"), ("uniforms", "uniform")])
+def test_colony_step_draws_are_distributed(colony_step_draws, draw, cdf):
+    # the blocks the colony consumes, not the Monte-Carlo stream the
+    # closed-form checks read
+    x = colony_step_draws[draw]
+    assert stats.kstest(x.ravel(), cdf).pvalue > 1e-4
+    # an ant's draw at one step says nothing about its draw at the next
+    first = x[..., 0] if draw == "exponentials" else x
+    r = np.corrcoef(first[:-1].ravel(), first[1:].ravel())[0, 1]
+    assert abs(r) < 0.05
 
 
 def test_exponentials_are_positive():
