@@ -51,6 +51,17 @@ SCALING_COLUMNS = [
 SHIFT_COLUMNS = ["iteration", "gamma", "p_max", "p_hat_max_prime"]
 
 
+def _check_repetitions(seed: int, repetitions: int) -> None:
+    """Raise ValueError unless there is at least one repetition and every
+    repetition's seed, base+rep, fits in 64 bits."""
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if seed + repetitions - 1 >= 2**64:
+        raise ValueError(
+            f"seed {seed} with {repetitions} repetitions runs "
+            f"past the largest seed, 2**64 - 1")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs; mirrors the CLI's JSON config file.
@@ -70,13 +81,7 @@ class ExperimentConfig:
     lenient: bool = False
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.params.seed + self.repetitions - 1 >= 2**64:
-            # run r uses seed base+r, and every seed must fit in 64 bits
-            raise ValueError(
-                f"seed {self.params.seed} with {self.repetitions} repetitions runs "
-                f"past the largest seed, 2**64 - 1")
+        _check_repetitions(self.params.seed, self.repetitions)
         if self.time_limit_seconds is not None and self.time_limit_seconds <= 0:
             raise ValueError("time_limit_seconds must be positive")
 
@@ -263,14 +268,14 @@ def run_scaling_study(instances: list[TspInstance], population_sizes: list[int],
     exceeds it is skipped with status "exceeded_budget" (the projection
     scales a small-colony probe linearly in m, sound for the per-ant
     sequential loop, and is used for sequential cells only). Raises
-    ValueError for an unknown mode and for iterations or repetitions < 1.
+    ValueError for an unknown mode, for iterations or repetitions < 1 and
+    when the last repetition's seed would not fit in 64 bits.
     """
     if mode not in ("batched", "sequential", "both"):
         raise ValueError(f"mode must be batched, sequential, or both, got {mode!r}")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    _check_repetitions(seed, repetitions)
     timers = {"batched": _time_batched_cell, "sequential": _time_sequential_cell}
     modes = ["batched", "sequential"] if mode == "both" else [mode]
     rows: list[dict] = []

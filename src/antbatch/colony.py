@@ -49,16 +49,18 @@ def compute_probability_matrix(tau: PheromoneState, inst: TspInstance,
     """
     # overflow/underflow surfaces as a structured error below, not a warning
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        unnorm = np.power(tau.tau, params.alpha) * np.power(inst.eta, params.beta)
-    np.fill_diagonal(unnorm, 0.0)
-    sums = unnorm.sum(axis=1, keepdims=True)
+        p = np.power(tau.tau, params.alpha)
+        p *= np.power(inst.eta, params.beta)
+    np.fill_diagonal(p, 0.0)
+    sums = p.sum(axis=1, keepdims=True)
     if not np.all(np.isfinite(sums)) or np.any(sums <= 0.0):
         bad = int(np.argmin(np.where(np.isfinite(sums), sums, -np.inf)))
         raise NumericalUnderflow(
             f"row {bad} normalizer is {sums[bad, 0]!r}; "
             "pheromone or heuristic values out of representable range"
         )
-    return ProbabilityMatrix(p=unnorm / sums)
+    p /= sums
+    return ProbabilityMatrix(p=p)
 
 
 def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
@@ -70,9 +72,11 @@ def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
     renormalized; for the argmax mechanisms the renormalizer is a per-row
     constant and drops out of the argmax, the wheel materializes the masked
     row's CDF); the mechanism only picks the table, draw and kernel every
-    step uses. Raises RevisitedCity when a selector returns a city its ant
-    has already visited, which happens only when every unvisited city of
-    the ant's row has zero weight.
+    step uses. Every step draws its deviate block into one (m, n) buffer
+    allocated once per call, next to the kernel's scratch buffer, so no
+    step allocates an (m, n) array for its draw. Raises RevisitedCity when
+    a selector returns a city its ant has already visited, which happens
+    only when every unvisited city of the ant's row has zero weight.
     """
     n, m = inst.n, params.m
     if params.selection is Selection.RW:
@@ -91,9 +95,10 @@ def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
     tours = np.empty((m, n), dtype=np.int64)
     tours[:, 0] = current
     scratch = np.empty((m, n))
+    block = np.empty((m, n))
 
     for step in range(1, n):
-        nxt = kernel(table, current, draw(keys, step, m, n), visited, scratch)
+        nxt = kernel(table, current, draw(keys, step, m, n, out=block), visited, scratch)
         revisits = visited[rows, nxt]
         if revisits.any():
             a = int(np.argmax(revisits))

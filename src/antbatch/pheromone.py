@@ -63,6 +63,7 @@ def apply_update(tau: PheromoneState, delta: np.ndarray, rho: float) -> Pheromon
     """
     if not 0 <= rho < 1:
         raise ValueError(f"rho must be in [0, 1), got {rho}")
-    new_tau = (1.0 - rho) * tau.tau + delta
+    new_tau = tau.tau * (1.0 - rho)
+    new_tau += delta
     np.maximum(new_tau, TAU_MIN, out=new_tau)
     return PheromoneState(tau=new_tau)

@@ -21,6 +21,9 @@ stream is fully set by its four state words, so ``step_keys`` derives the
 starting states of all steps of an iteration in one vectorized pass of
 SeedSequence's hash and SFC64's seeding, bit for bit the states numpy would
 seed from the same spawn keys, and each step re-keys one module-level SFC64.
+Both step draws take an ``out`` block to draw into, so a construction can
+reuse one (m, n) array for all its steps instead of allocating one per step;
+the values and the generator state after the draw are the same either way.
 
 Start cities and Monte-Carlo blocks come from ``stream``, a Philox generator
 per key. They are drawn once per iteration or per block, off the hot path,
@@ -152,7 +155,8 @@ _STEP_SFC64 = np.random.SFC64(0)
 _STEP_GENERATOR = np.random.Generator(_STEP_SFC64)
 
 
-def step_exponentials(keys: np.ndarray, step: int, m: int, n: int) -> np.ndarray:
+def step_exponentials(keys: np.ndarray, step: int, m: int, n: int,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Exp(1) deviate block for one construction step, shape (m, n).
 
     ``keys`` is the iteration's ``step_keys``. Row a belongs to ant a. Used
@@ -163,6 +167,10 @@ def step_exponentials(keys: np.ndarray, step: int, m: int, n: int) -> np.ndarray
     and equals ``Generator(SFC64(SeedSequence(entropy=seed,
     spawn_key=(DOMAIN_CONSTRUCT, iteration, step)))).standard_exponential((m, n))``.
     The SFC64 is shared, so calls must not run in several threads at once.
+
+    With ``out``, a C-contiguous float64 (m, n) array, the block is drawn
+    into it and ``out`` is returned, bitwise the block drawn without it;
+    another shape raises ValueError.
     """
     _STEP_SFC64.state = {
         "bit_generator": "SFC64",
@@ -170,10 +178,11 @@ def step_exponentials(keys: np.ndarray, step: int, m: int, n: int) -> np.ndarray
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return _STEP_GENERATOR.standard_exponential((m, n))
+    return _STEP_GENERATOR.standard_exponential(size=(m, n), out=out)
 
 
-def step_uniforms(keys: np.ndarray, step: int, m: int, n: int) -> np.ndarray:
+def step_uniforms(keys: np.ndarray, step: int, m: int, n: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Uniform(0,1) threshold per ant for one construction step, shape (m,).
 
     The uniform view of the step's deviate block: u = exp(-E) of the block's
@@ -181,9 +190,11 @@ def step_uniforms(keys: np.ndarray, step: int, m: int, n: int) -> np.ndarray:
     still consumes the same keyed (m, n) block as the argmax mechanisms so
     that the per-step stream geometry is mechanism-independent. Both the
     lockstep pipeline and the sequential reference call this one function,
-    which keeps their thresholds bit-identical.
+    which keeps their thresholds bit-identical. ``out`` is passed on to
+    ``step_exponentials``, which draws the block into it; the thresholds
+    are the same with it and without.
     """
-    return np.exp(-step_exponentials(keys, step, m, n)[:, 0])
+    return np.exp(-step_exponentials(keys, step, m, n, out)[:, 0])
 
 
 def start_cities(seed: int, iteration: int, m: int, n: int) -> np.ndarray:

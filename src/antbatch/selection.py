@@ -35,7 +35,12 @@ Each rule has exactly one vectorized implementation, a lockstep kernel over
 a block of rows: ``rw_spin_block`` for the wheel and ``argmax_select_block``
 for both argmax mechanisms, with the same arguments (a bool ``visited``
 mask bars cities: the wheel multiplies their weights by zero, the argmax
-kernel subtracts +inf from their scores). The colony calls them with one
+kernel subtracts +inf from their scores, a bar built from integer bits
+rather than by dividing). Both gather the ants' rows with
+``np.take(..., out=scratch, mode="clip")``: under the default
+``mode="raise"`` numpy stages ``out`` through a hidden buffer, and clipping
+never moves an index here, since every current city is a start city in
+[0, n) or a previous argmax over n columns. The colony calls them with one
 row per ant at every construction step, and the Monte-Carlo estimator
 (``oracle.empirical_selection_distribution``) with one row per trial, so the
 closed-form distribution checks measure the code the colony runs. The
@@ -50,6 +55,9 @@ import math
 import numpy as np
 
 from .model import GammaSchedule
+
+# the bit pattern of float64 +inf
+_INF_BITS = 0x7FF0000000000000
 
 
 class AllZeroWeights(ValueError):
@@ -93,15 +101,16 @@ def rw_spin_block(table: np.ndarray, current: np.ndarray, deviates: np.ndarray,
 
     Takes the arguments of ``argmax_select_block``, with the transition
     matrix as ``table`` and one uniform threshold per ant as ``deviates``.
-    Gathers each ant's row, zeroes the cities ``visited`` marks,
-    materializes the masked row's cumulative distribution (prefix sums over
-    total), and picks the first index whose CDF value strictly exceeds that
-    ant's threshold. Zero-weight entries are never picked (their CDF step
-    is empty). cumsum accumulates left to right and the quotients are taken
+    Gathers each ant's row (unbuffered: ``mode="clip"`` cannot move an
+    index in [0, n), the only kind its callers pass), zeroes the cities
+    ``visited`` marks, materializes the masked row's cumulative
+    distribution (prefix sums over total), and picks the first index whose
+    CDF value strictly exceeds that ant's threshold. Zero-weight entries
+    are never picked (their CDF step is empty). cumsum accumulates left to right and the quotients are taken
     prefix by prefix, so each pick is the one a scalar running sum over the
     same masked row finds. ``scratch`` is a caller-owned (m, n) buffer.
     """
-    np.take(table, current, axis=0, out=scratch)
+    np.take(table, current, axis=0, out=scratch, mode="clip")
     np.multiply(scratch, ~visited, out=scratch)
     np.cumsum(scratch, axis=1, out=scratch)
     total = scratch[:, -1].copy()
@@ -120,20 +129,24 @@ def argmax_select_block(table: np.ndarray, current: np.ndarray, deviates: np.nda
     """Lockstep perturbed-argmax for all m ants: the only implementation of
     independent roulette and of its adaptive variant.
 
-    Gathers each ant's row of the log-weight ``table``, subtracts that ant's
-    row of Exp(1) ``deviates``, bars the cities ``visited`` marks, and
-    reduces with a row argmax. The bar is IEEE arithmetic, not a masked
-    copy: ``visited / ~visited`` is +inf at visited cities and +0.0
-    elsewhere, and subtracting it makes every visited score -inf and leaves
-    every other score's bits as they were (x - 0.0 is x, -0.0 included).
+    Gathers each ant's row of the log-weight ``table`` (unbuffered:
+    ``mode="clip"`` cannot move an index in [0, n), the only kind its
+    callers pass), subtracts that ant's row of Exp(1) ``deviates``, bars the
+    cities ``visited`` marks, and reduces with a row argmax. The bar is IEEE
+    arithmetic, not a masked copy: the mask cast to uint64 times the bit
+    pattern of +inf, viewed as float64, is +inf at visited cities and +0.0
+    elsewhere (the bytes of ``visited / ~visited``, without a division or
+    its divide flag), and subtracting it makes every visited score -inf and
+    leaves every other score's bits as they were (x - 0.0 is x, -0.0
+    included).
     Ties (probability zero in exact arithmetic, possible in floats) resolve
     to the lowest index, matching numpy's argmax. ``scratch`` is a
     caller-owned (m, n) buffer.
     """
-    np.take(table, current, axis=0, out=scratch)
+    np.take(table, current, axis=0, out=scratch, mode="clip")
     np.subtract(scratch, deviates, out=scratch)
-    with np.errstate(divide="ignore"):
-        np.subtract(scratch, np.divide(visited, ~visited), out=scratch)
+    bar = np.multiply(visited, _INF_BITS, dtype=np.uint64).view(np.float64)
+    np.subtract(scratch, bar, out=scratch)
     return scratch.argmax(axis=1)
 
 

@@ -303,6 +303,21 @@ def test_scaling_study_rejects_empty_samples(counts, named):
         run_scaling_study([inst], [4], "batched", **counts)
 
 
+def test_scaling_study_rejects_repetitions_past_the_largest_seed():
+    # rep r runs seed base+r; the check comes before any cell is timed
+    inst = build_instance(make_synthetic_instance(10, seed=3))
+    readings = []
+
+    def clock():
+        readings.append(None)
+        return 0.0
+
+    with pytest.raises(ValueError, match=rf"^seed {2**64 - 1} with 2 repetitions runs"):
+        run_scaling_study([inst], [4], "batched", iterations=1, repetitions=2,
+                          seed=2**64 - 1, clock=clock)
+    assert readings == []
+
+
 # shift study ---------------------------------------------------------------------
 
 def test_shift_study_requires_adaptive():

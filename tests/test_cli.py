@@ -234,6 +234,20 @@ def test_scaling_empty_sample_is_one_line_error(inst_path, counts, named, capsys
     assert captured.out == ""
 
 
+def test_scaling_seed_overflow_across_repetitions_fails_before_any_run(
+        inst_path, tmp_path, capsys):
+    out = tmp_path / "scaling.csv"
+    rc = main(["scaling", "--instances", inst_path, "--ants", "4", "--mode", "batched",
+               "--seed", str(2**64 - 1), "--reps", "2", "--iterations", "1",
+               "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"antbatch: error: seed {2**64 - 1} with 2 repetitions runs "
+                            "past the largest seed, 2**64 - 1\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_convergence_subcommand(inst_path, tmp_path, capsys):
     prefix = str(tmp_path / "abl")
     rc = main(["convergence", inst_path, "--ants", "6", "--elite", "1",

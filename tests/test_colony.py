@@ -126,6 +126,26 @@ def test_construct_tours_builds_one_seed_sequence(mech, monkeypatch):
     assert len(built) <= 1
 
 
+@pytest.mark.parametrize("mech", list(Selection))
+def test_construct_tours_draws_every_step_into_one_block(mech, monkeypatch):
+    inst = make(12, seed=5)
+    params = params_for(inst, mech, m=3)
+    p = compute_probability_matrix(PheromoneState.initial(12, 1.0), inst, params)
+    expected = construct_tours(p, inst, params, iteration=2)
+    blocks = []
+    real = rng.step_exponentials
+
+    def spy(keys, step, m, n, out=None):
+        blocks.append(out)
+        return real(keys, step, m, n, out)
+
+    monkeypatch.setattr(rng, "step_exponentials", spy)
+    batch = construct_tours(p, inst, params, iteration=2)
+    assert len(blocks) == 11
+    assert blocks[0] is not None and all(b is blocks[0] for b in blocks)
+    assert np.array_equal(batch.tours, expected.tours)
+
+
 def test_construct_tours_seed_decorrelates():
     inst = make(9, seed=4)
     pa = params_for(inst, Selection.IR, m=6, seed=1)

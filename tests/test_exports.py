@@ -43,3 +43,19 @@ def test_package_modules_import_no_unused_name():
                 if name not in used and "noqa: F401" not in lines[alias.lineno - 1]:
                     found.append(f"{path.name}:{alias.lineno} {name}")
     assert found == []
+
+
+def test_package_gathers_into_out_without_a_buffer():
+    # np.take(..., out=) stages out through a hidden buffer under its
+    # default mode="raise"; a call that passes out must name its mode
+    found = []
+    for path in sorted(Path(antbatch.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            keywords = {k.arg for k in node.keywords}
+            if name == "take" and "out" in keywords and "mode" not in keywords:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

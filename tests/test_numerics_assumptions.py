@@ -8,6 +8,7 @@ first.
 """
 
 import numpy as np
+import pytest
 
 RNG = np.random.default_rng(20240612)
 
@@ -107,21 +108,28 @@ def test_exponential_block_rows_do_not_depend_on_later_rows():
     assert np.array_equal(full, again)
 
 
-def test_take_rows_equals_row_indexing():
+@pytest.mark.parametrize("mode", ["raise", "clip"])
+def test_take_rows_equals_row_indexing(mode):
+    # the kernels gather with mode="clip", which leaves in-range indices
+    # where they are (the default "raise" buffers out)
     a = RNG.uniform(size=(12, 7))
     idx = RNG.integers(0, 12, size=30)
     out = np.empty((30, 7))
-    np.take(a, idx, axis=0, out=out)
+    np.take(a, idx, axis=0, out=out, mode=mode)
     assert np.array_equal(out, a[idx])
 
 
 def test_bool_division_bars_visited_cities_exactly():
-    # argmax_select_block subtracts visited / ~visited from the scores:
-    # +inf at visited cities, +0.0 elsewhere
+    # argmax_select_block subtracts the mask times the bits of +inf, viewed
+    # as float64, from the scores: the bytes of visited / ~visited, +inf at
+    # visited cities and +0.0 (no sign bit) elsewhere
     visited = np.array([True, False])
+    with np.errstate(all="raise"):
+        bar = np.multiply(visited, 0x7FF0000000000000, dtype=np.uint64).view(np.float64)
     with np.errstate(divide="ignore"):
-        bar = np.divide(visited, ~visited)
+        division = np.divide(visited, ~visited)
     assert bar.dtype == np.float64
+    assert bar.tobytes() == division.tobytes()
     assert bar[0] == np.inf
     assert bar[1] == 0.0 and not np.signbit(bar[1])
     # x - 0.0 keeps every bit of x, -0.0 and -inf included ...

@@ -56,6 +56,10 @@ def test_step_blocks_are_the_keyed_streams(seed, iteration, m, n, data):
             entropy=seed, spawn_key=(rng.DOMAIN_CONSTRUCT, iteration, step))))
         e = rng.step_exponentials(keys, step, m, n)
         assert e.tobytes() == direct.standard_exponential((m, n)).tobytes()
+        # drawn into a caller's block: the same bits, in that block
+        buf = np.full((m, n), np.nan)
+        assert rng.step_exponentials(keys, step, m, n, out=buf) is buf
+        assert buf.tobytes() == e.tobytes()
 
 
 def test_step_keys_reject_negative_inputs():
@@ -74,6 +78,9 @@ def test_step_exponentials_shape_and_determinism():
     # different iteration or step decorrelates
     assert not np.array_equal(e1, rng.step_exponentials(rng.step_keys(1, 6, 9), 2, 6, 9))
     assert not np.array_equal(e1, rng.step_exponentials(keys, 3, 6, 9))
+    for shape in ((9, 6), (6, 8), (6 * 9,)):
+        with pytest.raises(ValueError):
+            rng.step_exponentials(keys, 2, 6, 9, out=np.empty(shape))
 
 
 def test_step_uniforms_are_the_blocks_first_column():
@@ -84,6 +91,10 @@ def test_step_uniforms_are_the_blocks_first_column():
     # the uniform view of the shared deviate block, not a separate stream
     e = rng.step_exponentials(keys, 1, 1000, 50)
     assert np.array_equal(u, np.exp(-e[:, 0]))
+    # drawing the block into a caller's buffer leaves the thresholds as they are
+    buf = np.empty((1000, 50))
+    assert rng.step_uniforms(keys, 1, 1000, 50, out=buf).tobytes() == u.tobytes()
+    assert buf.tobytes() == e.tobytes()
 
 
 @pytest.fixture(scope="module")
