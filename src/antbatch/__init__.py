@@ -25,7 +25,6 @@ from .bench import (
 )
 from .colony import (
     NumericalUnderflow,
-    RevisitedCity,
     compute_probability_matrix,
     construct_tours,
     iterate,
@@ -78,7 +77,6 @@ __all__ = [
     "PheromoneState",
     "ProbabilityMatrix",
     "RawTspFile",
-    "RevisitedCity",
     "RunSummary",
     "Selection",
     "TourBatch",

@@ -3,8 +3,8 @@
 Subcommands: solve (one experiment, per-iteration CSV), scaling (batched vs
 sequential runtime grid), shift-study (selection probability shift under the
 adaptive mechanism), convergence (three-mechanism ablation on one instance).
-Exit status 0 on success; structured errors print one line to stderr and
-exit nonzero.
+Exit status 0 on success; structured errors and running out of memory
+print one line to stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -274,6 +274,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as e:  # every structured error is a ValueError
         print(f"antbatch: error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # an instance or colony too large for memory
+        print(f"antbatch: error: out of memory: {e}", file=sys.stderr)
         return 2
 
 

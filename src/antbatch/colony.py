@@ -2,16 +2,20 @@
 driver that advances all m ants together, and ``iterate``, which chains
 construction, elite deposit, evaporation and the next transition matrix.
 
-One iteration's randomness is addressed per construction step: step s draws
-one (m, n) deviate block covering every ant, keyed by the step (the rng
-module derives all of an iteration's step keys before its first step), so
-an ant's choices never depend on how the others are scheduled. The argmax
-mechanisms consume the full block through ``selection.argmax_select_block``;
-the roulette wheel consumes one threshold per ant (the uniform view of the
-block's first column) and runs all spins in lockstep through
-``selection.rw_spin_block``, a row-wise prefix-sum kernel. These two kernels
-are the only vectorized implementations of the selection rules; they take
-the same arguments, so every mechanism runs one step on one visited mask.
+Each ant keeps its unvisited cities in the first n - s columns of one
+(m, n) candidate block at step s; the pick is swap-removed to the last of
+those columns, so the block ends as the reversed tours and no step touches
+more than the (m, n - s) candidates. One iteration's randomness is
+addressed per construction step: step s draws one (m, n - s) deviate block
+covering every ant, keyed by the step (the rng module derives all of an
+iteration's step keys before its first step), so an ant's choices never
+depend on how the others are scheduled. The argmax mechanisms consume the
+full block through ``selection.argmax_select_block``; the roulette wheel
+consumes one threshold per ant (the uniform view of the block's first
+column) and runs all spins in lockstep through ``selection.rw_spin_block``,
+a row-wise prefix-sum kernel. These two kernels are the only vectorized
+implementations of the selection rules; they take the same arguments, so
+every mechanism runs one step on one candidate block.
 """
 
 from __future__ import annotations
@@ -29,15 +33,17 @@ from .model import (
     batch_costs,
 )
 from .pheromone import accumulate_increments, apply_update, select_elite
-from .selection import argmax_select_block, gamma_at, rw_spin_block, scaled_log_weights
+from .selection import (
+    AllZeroWeights,
+    argmax_select_block,
+    gamma_at,
+    rw_spin_block,
+    scaled_log_weights,
+)
 
 
 class NumericalUnderflow(ValueError):
     """A transition-matrix row normalizer vanished or became non-finite."""
-
-
-class RevisitedCity(ValueError):
-    """A selector chose a city its ant had already visited."""
 
 
 def compute_probability_matrix(tau: PheromoneState, inst: TspInstance,
@@ -67,16 +73,24 @@ def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
                     iteration: int) -> TourBatch:
     """Build m complete tours in n-1 lockstep selection rounds.
 
-    At every round each ant picks its next city from its current row of the
-    transition matrix restricted to unvisited cities (masked and
-    renormalized; for the argmax mechanisms the renormalizer is a per-row
-    constant and drops out of the argmax, the wheel materializes the masked
-    row's CDF); the mechanism only picks the table, draw and kernel every
-    step uses. Every step draws its deviate block into one (m, n) buffer
-    allocated once per call, next to the kernel's scratch buffer, so no
-    step allocates an (m, n) array for its draw. Raises RevisitedCity when
-    a selector returns a city its ant has already visited, which happens
-    only when every unvisited city of the ant's row has zero weight.
+    Every ant keeps its unvisited cities in the first r = n - s columns of
+    one (m, n) candidate block ``cand``. At step s each ant picks its next
+    city among those r candidates, from its current row of the transition
+    matrix (for the argmax mechanisms the renormalizer over the candidates
+    is a per-row constant and drops out of the argmax; the wheel
+    materializes the candidates' CDF), and the pick is swap-removed to
+    column r - 1. The start city is swap-removed to column n - 1 before the
+    first step, so at the end ``cand[:, ::-1]`` is the tours. The mechanism
+    only picks the table, draw and kernel every step uses. Each step draws
+    its (m, r) deviate block, and the kernel gathers into its (m, r) scratch
+    and index blocks, as prefixes of flat buffers allocated once per call,
+    so no step allocates an array of the block's size.
+
+    Raises AllZeroWeights, naming the ant, the iteration and the first such
+    step, when every candidate of an ant has weight zero, as when large
+    exponents underflow the transition weights: the kernel's entry at the
+    pick is then -inf (argmax) or NaN (the wheel's 0/0 CDF). Those entries
+    are kept per step and tested once after the last step.
     """
     n, m = inst.n, params.m
     if params.selection is Selection.RW:
@@ -90,27 +104,36 @@ def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
     keys = rng.step_keys(params.seed, iteration, n)
     current = rng.start_cities(params.seed, iteration, m, n)
     rows = np.arange(m)
-    visited = np.zeros((m, n), dtype=bool)
-    visited[rows, current] = True
-    tours = np.empty((m, n), dtype=np.int64)
-    tours[:, 0] = current
-    scratch = np.empty((m, n))
-    block = np.empty((m, n))
+    cand = np.tile(np.arange(n), (m, 1))
+    cand[rows, current] = n - 1
+    cand[:, n - 1] = current
+    deviates = np.empty(m * n)
+    scratch = np.empty(m * n)
+    index = np.empty(m * n, dtype=np.int64)
+    picked = np.zeros((n, m))  # row s: each ant's kernel entry at its pick
 
-    for step in range(1, n):
-        nxt = kernel(table, current, draw(keys, step, m, n, out=block), visited, scratch)
-        revisits = visited[rows, nxt]
-        if revisits.any():
-            a = int(np.argmax(revisits))
-            raise RevisitedCity(
-                f"ant {a} chose already-visited city {nxt[a]} at iteration "
-                f"{iteration}, step {step}: the transition weights of all its "
-                "unvisited cities underflowed to zero"
-            )
-        current = nxt
-        visited[rows, current] = True
-        tours[:, step] = current
+    # 0/0 in the wheel's CDF is an all-zero row, reported below
+    with np.errstate(invalid="ignore"):
+        for step in range(1, n):
+            r = n - step
+            block = draw(keys, step, m, r, out=deviates[:m * r].reshape(m, r))
+            scores = scratch[:m * r].reshape(m, r)
+            pos = kernel(table, current, block, cand[:, :r], scores,
+                         index[:m * r].reshape(m, r))
+            picked[step] = scores[rows, pos]
+            current = cand[rows, pos]
+            cand[rows, pos] = cand[:, r - 1]
+            cand[:, r - 1] = current
 
+    dead = ~(picked > -np.inf)
+    if dead.any():
+        step, a = np.argwhere(dead)[0]
+        raise AllZeroWeights(
+            f"ant {a} has no unvisited city of positive weight at iteration "
+            f"{iteration}, step {step}: the transition weights of all its "
+            "unvisited cities underflowed to zero"
+        )
+    tours = np.ascontiguousarray(cand[:, ::-1])
     return TourBatch(tours=tours, costs=batch_costs(tours, inst))
 
 

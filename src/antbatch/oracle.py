@@ -121,18 +121,27 @@ def sequential_increment_sum(elites: list[tuple[np.ndarray, float]], n: int) -> 
     return delta
 
 
+def _no_positive_weight(ant: int, iteration: int, step: int) -> str:
+    return (f"ant {ant} has no unvisited city of positive weight at iteration "
+            f"{iteration}, step {step}")
+
+
 def sequential_aco_step(tau: PheromoneState, inst: TspInstance, params: AcoParams,
                         iteration: int) -> tuple[TourBatch, PheromoneState]:
     """One full colony iteration with plain nested loops and no batching.
 
     Same keyed random blocks as the pipeline, one ant and one city at a
     time: builds the transition matrix by scalar double loop, walks each ant
-    through its n-1 selections with per-city Python arithmetic, sorts for
-    the elite, deposits edge by edge, and evaporates cell by cell. Tours
-    must match the batched pipeline bit for bit (a scalar running sum
-    retraces the wheel kernel's cumsum, a strict-greater scan retraces the
-    argmax kernel's first-of-ties choice); pheromone within 1e-12 relative
-    (the scalar matrix arithmetic differs from the vectorized one by ulps).
+    through its n-1 selections with per-city Python arithmetic over its
+    list of unvisited cities (scanned in list order, the pick swapped to
+    the list's last unvisited position, as the pipeline's candidate block
+    does), sorts for the elite, deposits edge by edge, and evaporates cell
+    by cell. Tours must match the batched pipeline bit for bit (a scalar
+    running sum retraces the wheel kernel's cumsum, a strict-greater scan
+    retraces the argmax kernel's first-of-ties choice); pheromone within
+    1e-12 relative (the scalar matrix arithmetic differs from the vectorized
+    one by ulps). Raises AllZeroWeights when every unvisited city of an ant
+    has weight zero.
     """
     n, m = inst.n, params.m
     mech = params.selection
@@ -147,54 +156,60 @@ def sequential_aco_step(tau: PheromoneState, inst: TspInstance, params: AcoParam
     keys = rng.step_keys(params.seed, iteration, n)
     starts = rng.start_cities(params.seed, iteration, m, n)
     tours = [[int(starts[a])] for a in range(m)]
-    visited = [[False] * n for _ in range(m)]
+    # each ant's unvisited cities are the first n - step entries of its
+    # candidate list; a pick is swapped to the last of them
+    cands = [list(range(n)) for _ in range(m)]
     for a in range(m):
-        visited[a][tours[a][0]] = True
+        cand, s0 = cands[a], tours[a][0]
+        cand[s0], cand[n - 1] = cand[n - 1], cand[s0]
 
     for step in range(1, n):
+        r = n - step
         if mech is Selection.RW:
-            u = rng.step_uniforms(keys, step, m, n)
+            u = rng.step_uniforms(keys, step, m, r)
             for a in range(m):
                 row = rows[tours[a][-1]]
-                vis = visited[a]
+                cand = cands[a]
                 ua = u[a]
                 total = 0.0
-                for j in range(n):
-                    if not vis[j]:
-                        total += row[j]
-                choice = -1
+                for j in range(r):
+                    total += row[cand[j]]
+                if not total > 0.0:
+                    raise AllZeroWeights(_no_positive_weight(a, iteration, step))
+                pick = -1
                 run = 0.0
-                for j in range(n):
-                    if not vis[j]:
-                        run += row[j]
-                        if run / total > ua:
-                            choice = j
-                            break
-                if choice < 0:
+                for j in range(r):
+                    run += row[cand[j]]
+                    if run / total > ua:
+                        pick = j
+                        break
+                if pick < 0:
                     # threshold at or past the total: last positive weight
-                    for j in range(n - 1, -1, -1):
-                        if not vis[j] and row[j] > 0.0:
-                            choice = j
+                    for j in range(r - 1, -1, -1):
+                        if row[cand[j]] > 0.0:
+                            pick = j
                             break
+                choice = cand[pick]
+                cand[pick], cand[r - 1] = cand[r - 1], choice
                 tours[a].append(choice)
-                vis[choice] = True
         else:
-            e_block = rng.step_exponentials(keys, step, m, n).tolist()
+            e_block = rng.step_exponentials(keys, step, m, r).tolist()
             for a in range(m):
                 row = rows[tours[a][-1]]
                 e = e_block[a]
-                vis = visited[a]
+                cand = cands[a]
                 best = -math.inf
-                choice = 0
-                for j in range(n):
-                    if vis[j]:
-                        continue
-                    s = row[j] - e[j]
+                pick = -1
+                for j in range(r):
+                    s = row[cand[j]] - e[j]
                     if s > best:
                         best = s
-                        choice = j
+                        pick = j
+                if pick < 0:
+                    raise AllZeroWeights(_no_positive_weight(a, iteration, step))
+                choice = cand[pick]
+                cand[pick], cand[r - 1] = cand[r - 1], choice
                 tours[a].append(choice)
-                vis[choice] = True
 
     d = inst.dist.tolist()
     costs = np.empty(m)
@@ -231,9 +246,10 @@ def empirical_selection_distribution(mechanism, p, gamma: float | None = None,
     drawn in blocks keyed by block index, so the estimate for a given
     (seed, trials) is deterministic and independent of block size. Each
     block runs through the colony's own selection kernel, one trial per row
-    and every row reading the same weights with nothing visited, so the
-    estimate measures the code the colony runs. Raises ValueError for a
-    negative weight and AllZeroWeights when no weight is positive.
+    and every row reading the same weights with every city a candidate, in
+    index order (so a picked column is a city), and the estimate measures
+    the code the colony runs. Raises ValueError for a negative weight and
+    AllZeroWeights when no weight is positive.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -263,7 +279,8 @@ def empirical_selection_distribution(mechanism, p, gamma: float | None = None,
         else:
             kernel, deviates = argmax_select_block, g.standard_exponential((b, n))
         idx = kernel(table, np.zeros(b, dtype=np.int64), deviates,
-                     np.broadcast_to(False, (b, n)), np.empty((b, n)))
+                     np.broadcast_to(np.arange(n), (b, n)), np.empty((b, n)),
+                     np.empty((b, n), dtype=np.int64))
         counts += np.bincount(idx, minlength=n)
         done += b
         block += 1

@@ -7,23 +7,25 @@ batched pipeline, the sequential reference) regenerates identical values for
 the same key regardless of execution order or width.
 
 Construction randomness is drawn in per-step blocks: at iteration ``it``,
-step ``step``, the colony draws one (m, n) block of Exp(1) deviates covering
-all m ants, and ant ``a`` consumes row ``a``. Every selection mechanism
-consumes the same block: the argmax mechanisms read the full row, the
-roulette wheel reads one element per row through the uniform view
-u = exp(-E). Switching mechanisms therefore never changes the randomness a
-step draws, and timing comparisons between mechanisms isolate kernel cost
-rather than deviate-generation cost. An ant's substream is identified by
-``(seed, iteration, step, ant-row)`` without a generator built per ant, and
-none is built per step either. The step blocks are the hot path, so they
-come from SFC64, which draws them in about half of Philox's time: an SFC64
-stream is fully set by its four state words, so ``step_keys`` derives the
-starting states of all steps of an iteration in one vectorized pass of
-SeedSequence's hash and SFC64's seeding, bit for bit the states numpy would
-seed from the same spawn keys, and each step re-keys one module-level SFC64.
+step ``step``, the colony draws one (m, n - step) block of Exp(1) deviates
+covering all m ants, one deviate per unvisited city, and ant ``a`` consumes
+row ``a``. Every selection mechanism consumes the same block: the argmax
+mechanisms read the full row, the roulette wheel reads one element per row
+through the uniform view u = exp(-E). Switching mechanisms therefore never
+changes the randomness a step draws, and timing comparisons between
+mechanisms isolate kernel cost rather than deviate-generation cost. An
+ant's substream is identified by ``(seed, iteration, step, ant-row)``
+without a generator built per ant, and none is built per step either.
+The step blocks are the hot path, so they come from SFC64, which draws
+them in about half of Philox's time: an SFC64 stream is fully set by its
+four state words, so ``step_keys`` derives the starting states of all
+steps of an iteration in one vectorized pass of SeedSequence's hash and
+SFC64's seeding, bit for bit the states numpy would seed from the same
+spawn keys, and each step re-keys one module-level SFC64.
 Both step draws take an ``out`` block to draw into, so a construction can
-reuse one (m, n) array for all its steps instead of allocating one per step;
-the values and the generator state after the draw are the same either way.
+draw every step into a prefix of one buffer instead of allocating a block
+per step; the values and the generator state after the draw are the same
+either way.
 
 Start cities and Monte-Carlo blocks come from ``stream``, a Philox generator
 per key. They are drawn once per iteration or per block, off the hot path,
@@ -159,7 +161,8 @@ def step_exponentials(keys: np.ndarray, step: int, m: int, n: int,
                       out: np.ndarray | None = None) -> np.ndarray:
     """Exp(1) deviate block for one construction step, shape (m, n).
 
-    ``keys`` is the iteration's ``step_keys``. Row a belongs to ant a. Used
+    ``keys`` is the iteration's ``step_keys``. Row a belongs to ant a; the
+    colony passes the number of unvisited cities, n - step, as ``n``. Used
     by the argmax-based selection mechanisms; with r = exp(-E) these are
     i.i.d. uniforms on the open interval (0, 1). The whole state of the
     module's SFC64 is reset (the step's four state words, no buffered
@@ -187,10 +190,11 @@ def step_uniforms(keys: np.ndarray, step: int, m: int, n: int,
 
     The uniform view of the step's deviate block: u = exp(-E) of the block's
     first column. The roulette wheel needs one threshold per ant per step; it
-    still consumes the same keyed (m, n) block as the argmax mechanisms so
-    that the per-step stream geometry is mechanism-independent. Both the
-    lockstep pipeline and the sequential reference call this one function,
-    which keeps their thresholds bit-identical. ``out`` is passed on to
+    still consumes the same keyed (m, n) block as the argmax mechanisms (n
+    the number of unvisited cities) so that the per-step stream geometry is
+    mechanism-independent. Both the lockstep pipeline and the sequential
+    reference call this one function, which keeps their thresholds
+    bit-identical. ``out`` is passed on to
     ``step_exponentials``, which draws the block into it; the thresholds
     are the same with it and without.
     """

@@ -33,19 +33,20 @@ and finishes them as plain IR.
 
 Each rule has exactly one vectorized implementation, a lockstep kernel over
 a block of rows: ``rw_spin_block`` for the wheel and ``argmax_select_block``
-for both argmax mechanisms, with the same arguments (a bool ``visited``
-mask bars cities: the wheel multiplies their weights by zero, the argmax
-kernel subtracts +inf from their scores, a bar built from integer bits
-rather than by dividing). Both gather the ants' rows with
-``np.take(..., out=scratch, mode="clip")``: under the default
-``mode="raise"`` numpy stages ``out`` through a hidden buffer, and clipping
-never moves an index here, since every current city is a start city in
-[0, n) or a previous argmax over n columns. The colony calls them with one
-row per ant at every construction step, and the Monte-Carlo estimator
-(``oracle.empirical_selection_distribution``) with one row per trial, so the
-closed-form distribution checks measure the code the colony runs. The
-scalar loops of ``oracle.sequential_aco_step`` are the independent reference
-the kernels' picks must match bit for bit.
+for both argmax mechanisms, with the same arguments. Neither kernel knows
+about visited cities: each row's candidates arrive as a row of city indices
+(``cand``, an ant's unvisited cities in the colony), and the kernel returns,
+per row, the column of ``cand`` it picks. Both gather the weights
+``table[current[a], cand[a, j]]`` as one flat ``np.take`` through a
+caller-owned index block (``mode="clip"``: under the default ``mode="raise"``
+numpy stages ``out`` through a hidden buffer, and clipping never moves an
+index here, since every current city and candidate is a city in [0, n)).
+The colony calls them with one row per ant at every construction step, and
+the Monte-Carlo estimator (``oracle.empirical_selection_distribution``) with
+one row per trial and every city a candidate, so the closed-form
+distribution checks measure the code the colony runs. The scalar loops of
+``oracle.sequential_aco_step`` are the independent reference the kernels'
+picks must match bit for bit.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ import math
 import numpy as np
 
 from .model import GammaSchedule
-
-# the bit pattern of float64 +inf
-_INF_BITS = 0x7FF0000000000000
 
 
 class AllZeroWeights(ValueError):
@@ -95,58 +93,68 @@ def scaled_log_weights(p: np.ndarray, gamma: float) -> np.ndarray:
     return logw
 
 
+def _gather(table: np.ndarray, current: np.ndarray, cand: np.ndarray,
+            scratch: np.ndarray, index: np.ndarray) -> None:
+    """scratch[a, j] = table[current[a], cand[a, j]], one flat ``np.take``
+    through the index block ``index`` (``table`` C-contiguous). ``mode="clip"``
+    keeps ``np.take`` from staging ``out`` through a copy and moves no index
+    in range, the only kind the kernels' callers pass."""
+    np.add(cand, (current * table.shape[1])[:, None], out=index)
+    np.take(table.ravel(), index, out=scratch, mode="clip")
+
+
 def rw_spin_block(table: np.ndarray, current: np.ndarray, deviates: np.ndarray,
-                  visited: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+                  cand: np.ndarray, scratch: np.ndarray,
+                  index: np.ndarray) -> np.ndarray:
     """Lockstep roulette spins, one per ant: the wheel's only implementation.
 
     Takes the arguments of ``argmax_select_block``, with the transition
     matrix as ``table`` and one uniform threshold per ant as ``deviates``.
-    Gathers each ant's row (unbuffered: ``mode="clip"`` cannot move an
-    index in [0, n), the only kind its callers pass), zeroes the cities
-    ``visited`` marks, materializes the masked row's cumulative
-    distribution (prefix sums over total), and picks the first index whose
-    CDF value strictly exceeds that ant's threshold. Zero-weight entries
-    are never picked (their CDF step is empty). cumsum accumulates left to right and the quotients are taken
-    prefix by prefix, so each pick is the one a scalar running sum over the
-    same masked row finds. ``scratch`` is a caller-owned (m, n) buffer.
+    Gathers each ant's weights over its candidates ``cand`` into
+    ``scratch``, materializes their cumulative distribution (prefix sums
+    over total) in candidate order, and returns the first column whose CDF
+    value strictly exceeds that ant's threshold. Zero-weight candidates are
+    never picked (their CDF step is empty). cumsum accumulates left to
+    right and the quotients are taken prefix by prefix, so each pick is the
+    one a scalar running sum over the same candidates finds. ``scratch``
+    (float64) and ``index`` (int64, C-contiguous) are caller-owned blocks
+    of ``cand``'s shape; ``scratch`` keeps the CDF, whose entry at a row's
+    pick is NaN exactly when the row's total weight is zero (0/0, the
+    caller's to report; the pick is then column 0).
     """
-    np.take(table, current, axis=0, out=scratch, mode="clip")
-    np.multiply(scratch, ~visited, out=scratch)
+    _gather(table, current, cand, scratch, index)
     np.cumsum(scratch, axis=1, out=scratch)
     total = scratch[:, -1].copy()
     np.divide(scratch, total[:, None], out=scratch)
-    nxt = (scratch > deviates[:, None]).argmax(axis=1)
+    # the comparison goes into the index block's bytes, dead after the gather
+    hit = np.ndarray(cand.shape, np.bool_, index)
+    pos = np.greater(scratch, deviates[:, None], out=hit).argmax(axis=1)
     # a threshold can reach 1.0 exactly (the uniform view of an underflowing
     # deviate), which no CDF value exceeds since the CDF tops out at exactly
-    # 1.0; those rows take the last positive-weight index
+    # 1.0; those rows take the last positive-weight candidate
     for a in np.flatnonzero(scratch[:, -1] <= deviates):
-        nxt[a] = np.flatnonzero(table[current[a]] * ~visited[a])[-1]
-    return nxt
+        pos[a] = np.flatnonzero(table[current[a], cand[a]])[-1]
+    return pos
 
 
 def argmax_select_block(table: np.ndarray, current: np.ndarray, deviates: np.ndarray,
-                        visited: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+                        cand: np.ndarray, scratch: np.ndarray,
+                        index: np.ndarray) -> np.ndarray:
     """Lockstep perturbed-argmax for all m ants: the only implementation of
     independent roulette and of its adaptive variant.
 
-    Gathers each ant's row of the log-weight ``table`` (unbuffered:
-    ``mode="clip"`` cannot move an index in [0, n), the only kind its
-    callers pass), subtracts that ant's row of Exp(1) ``deviates``, bars the
-    cities ``visited`` marks, and reduces with a row argmax. The bar is IEEE
-    arithmetic, not a masked copy: the mask cast to uint64 times the bit
-    pattern of +inf, viewed as float64, is +inf at visited cities and +0.0
-    elsewhere (the bytes of ``visited / ~visited``, without a division or
-    its divide flag), and subtracting it makes every visited score -inf and
-    leaves every other score's bits as they were (x - 0.0 is x, -0.0
-    included).
-    Ties (probability zero in exact arithmetic, possible in floats) resolve
-    to the lowest index, matching numpy's argmax. ``scratch`` is a
-    caller-owned (m, n) buffer.
+    Gathers each ant's log weights over its candidates ``cand`` from the
+    log-weight ``table`` into ``scratch``, subtracts that ant's row of Exp(1)
+    ``deviates`` (one per candidate), and returns the row argmax: a column
+    of ``cand``. Ties (probability zero in exact arithmetic, possible in
+    floats) resolve to the lowest column, matching numpy's argmax.
+    ``scratch`` (float64) and ``index`` (int64) are caller-owned blocks of
+    ``cand``'s shape; ``scratch`` keeps the scores, whose entry at a row's
+    pick is -inf exactly when every candidate of the row has weight zero
+    (the caller's to report; the pick is then column 0).
     """
-    np.take(table, current, axis=0, out=scratch, mode="clip")
+    _gather(table, current, cand, scratch, index)
     np.subtract(scratch, deviates, out=scratch)
-    bar = np.multiply(visited, _INF_BITS, dtype=np.uint64).view(np.float64)
-    np.subtract(scratch, bar, out=scratch)
     return scratch.argmax(axis=1)
 
 

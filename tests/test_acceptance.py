@@ -339,7 +339,7 @@ def test_parser_golden_files_and_error_paths():
 #     within 1.15x of independent roulette, which stays under the wheel.
 # ---------------------------------------------------------------------------
 
-def _interleaved_iter_ms(inst, mechs, iters: int = 4) -> dict:
+def _interleaved_iter_ms(inst, mechs, iters: int = 7) -> dict:
     """Median ms per colony.iterate call for each mechanism, first call dropped.
 
     The colonies are built first and their iterations interleaved, the order

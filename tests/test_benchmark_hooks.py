@@ -62,8 +62,8 @@ def test_traced_iteration_counts(probe, mech):
     calls = [s for s in tracer.spans if s.label == kernel]
     assert len(calls) == n - 1
     assert len([s for s in tracer.spans if s.label == draw]) == n - 1
-    for step, span in enumerate(calls, start=1):
-        assert span.entries == m * n
-        if mech is not Selection.RW:
-            # the unvisited deviates the argmax reads at this step
-            assert span.deviates == m * (n - step)
+    blocks = [s for s in tracer.spans if s.label == "rng.step_exponentials"]
+    # step s sweeps and draws the (m, n - s) block of the ants' candidates
+    for step, (span, block) in enumerate(zip(calls, blocks, strict=True), start=1):
+        assert span.entries == m * (n - step)
+        assert block.deviates == m * (n - step)

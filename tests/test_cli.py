@@ -152,7 +152,7 @@ def test_high_beta_underflow_is_one_line_error(optimize):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("antbatch: error: ant ")
-    assert "already-visited city" in lines[0] and "step" in lines[0]
+    assert "no unvisited city of positive weight" in lines[0] and "step" in lines[0]
 
 
 def test_seed_overflow_across_repetitions_fails_before_any_run(inst_path, tmp_path, capsys):
@@ -179,6 +179,24 @@ def test_malformed_instance_is_error(tmp_path, capsys):
     rc = main(["solve", bad, "--iters", "1"])
     assert rc == 2
     assert "EXPLICIT" in capsys.readouterr().err
+
+
+_NO_MEMORY = ("Unable to allocate 2.98 GiB for an array with shape (20000, 20000) "
+              "and data type float64")
+
+
+@pytest.mark.parametrize("target", ["antbatch.cli.load_instance", "antbatch.bench.iterate"])
+def test_out_of_memory_is_one_line_error(target, inst_path, tmp_path, capsys, monkeypatch):
+    # an instance (load_instance) or colony (iterate) too large for memory
+    # ends in one line and exit 2, not in a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError(_NO_MEMORY)
+
+    monkeypatch.setattr(target, exhausted)
+    rc = main(["solve", inst_path, "--ants", "3", "--iters", "1",
+               "--out", str(tmp_path / "run.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"antbatch: error: out of memory: {_NO_MEMORY}\n"
 
 
 def test_iters_and_time_limit_are_mutually_exclusive(inst_path, capsys):

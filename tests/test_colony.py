@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from antbatch import rng
 from antbatch.bench import make_synthetic_instance
 from antbatch.colony import (
     NumericalUnderflow,
-    RevisitedCity,
     compute_probability_matrix,
     construct_tours,
     iterate,
@@ -23,6 +23,7 @@ from antbatch.model import (
     tour_cost,
 )
 from antbatch.pheromone import accumulate_increments, apply_update, select_elite
+from antbatch.selection import AllZeroWeights
 
 from conftest import random_metric_instance
 
@@ -128,6 +129,8 @@ def test_construct_tours_builds_one_seed_sequence(mech, monkeypatch):
 
 @pytest.mark.parametrize("mech", list(Selection))
 def test_construct_tours_draws_every_step_into_one_block(mech, monkeypatch):
+    # step s draws the (m, n - s) block of the ants' candidates, each into
+    # a prefix of one buffer: m * n * (n - 1) / 2 deviates in all
     inst = make(12, seed=5)
     params = params_for(inst, mech, m=3)
     p = compute_probability_matrix(PheromoneState.initial(12, 1.0), inst, params)
@@ -141,9 +144,45 @@ def test_construct_tours_draws_every_step_into_one_block(mech, monkeypatch):
 
     monkeypatch.setattr(rng, "step_exponentials", spy)
     batch = construct_tours(p, inst, params, iteration=2)
-    assert len(blocks) == 11
-    assert blocks[0] is not None and all(b is blocks[0] for b in blocks)
+    assert [b.shape for b in blocks] == [(3, 12 - step) for step in range(1, 12)]
+    assert all(np.shares_memory(b, blocks[0]) for b in blocks)
+    assert sum(b.size for b in blocks) == 3 * 12 * 11 // 2
     assert np.array_equal(batch.tours, expected.tours)
+
+
+@pytest.mark.parametrize("mech", list(Selection))
+def test_construct_tours_steps_allocate_no_block(mech, monkeypatch):
+    # The peak traced memory between two step draws bounds what one step
+    # allocates. numpy's ufunc iterator may hold a buffer of getbufsize()
+    # elements for each of two 8-byte operands, and a step makes a few
+    # (m,) arrays; an (m, r) array, even of bools, is more than both once
+    # r > 300.
+    n, m = 400, 1000
+    inst = make(n, seed=1)
+    params = params_for(inst, mech, m=m, k=1)
+    p = compute_probability_matrix(PheromoneState.initial(n, 1.0), inst, params)
+    bound = 2 * 8 * np.getbufsize() + 8 * 8 * m
+    assert m * 300 > bound
+    growth = []
+    base = []
+    real = rng.step_exponentials
+
+    def spy(keys, step, mm, r, out=None):
+        current, peak = tracemalloc.get_traced_memory()
+        if base:
+            growth.append(peak - base[-1])
+        tracemalloc.reset_peak()
+        base.append(current)
+        return real(keys, step, mm, r, out)
+
+    monkeypatch.setattr(rng, "step_exponentials", spy)
+    tracemalloc.start()
+    try:
+        construct_tours(p, inst, params, iteration=0)
+    finally:
+        tracemalloc.stop()
+    assert len(growth) == n - 2
+    assert max(growth) <= bound
 
 
 def test_construct_tours_seed_decorrelates():
@@ -194,17 +233,34 @@ def test_mechanisms_disagree_statistically():
 
 
 @pytest.mark.parametrize("mech", list(Selection))
-def test_choosing_a_visited_city_raises_revisited_city(mech):
+def test_all_zero_candidate_weights_raise_all_zero_weights(mech):
     # two 2-cycles: an ant that starts at 0 moves to 1, where the only
     # city with weight is 0 again, so every unvisited city has weight zero
     inst = make(4)
     p = np.zeros((4, 4))
     p[0, 1] = p[1, 0] = p[2, 3] = p[3, 2] = 1.0
     params = params_for(inst, mech, m=4, seed=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(RevisitedCity, match=r"^ant \d+ chose already-visited "
-                                                r"city \d+ at iteration 2, step 2:"):
+    with np.errstate(all="raise"):
+        with pytest.raises(AllZeroWeights, match=r"^ant \d+ has no unvisited city of "
+                                                 r"positive weight at iteration 2, step 2:"):
             construct_tours(ProbabilityMatrix(p=p), inst, params, iteration=2)
+
+
+@pytest.mark.parametrize("mech", list(Selection))
+def test_all_zero_weights_raise_while_city_zero_is_unvisited(mech):
+    # one cycle through cities 1..5 that only city 0 leaves: an ant that
+    # starts elsewhere walks the cycle and then has only city 0 left, at
+    # weight zero; taking it silently would close a tour over a dead edge
+    inst = make(6)
+    p = np.zeros((6, 6))
+    for i in range(5):
+        p[i, i + 1] = 1.0
+    p[5, 1] = 1.0
+    params = params_for(inst, mech, m=4, seed=3)
+    starts = rng.start_cities(3, 0, 4, 6)
+    a = int(np.flatnonzero(starts != 0)[0])
+    with pytest.raises(AllZeroWeights, match=rf"^ant {a} has no unvisited city .* step 5:"):
+        construct_tours(ProbabilityMatrix(p=p), inst, params, iteration=0)
 
 
 # iteration -------------------------------------------------------------------
@@ -226,13 +282,15 @@ def test_iterate_chains_the_pipeline_in_order(mech):
 
 
 # Tours, costs, tau and the transition matrix of three iterations on a
-# 20-city instance, recorded when the step blocks moved from Philox to SFC64.
-# The digests are of float bits, so they assume IEEE doubles and the
-# numpy/libm results of an x86-64 Linux build.
+# 20-city instance, recorded when construction moved to compacted candidate
+# blocks (each step draws (m, n - s) deviates and scans the candidates in
+# swap-remove order, so the tours' bits changed). The digests are of float
+# bits, so they assume IEEE doubles and the numpy/libm results of an x86-64
+# Linux build.
 ITERATE_DIGESTS = {
-    "rw": "b95c78b42dec7392caebe60c7a715294b9dc772ae689f1f7f44b19abb3f94191",
-    "ir": "3afd05884f6378c3ac94a043e12e3004c54f6d3192aa49978848b072dd6f9a78",
-    "adair": "62727cb301c7b49810219c64dba8560dd0a5c0f7bf28eb0da1e81c02502cfdff",
+    "rw": "6d5af41cfa199ba615795bd9f127ab010a1588ae08f03f661d6f6dc941a27ee7",
+    "ir": "aeb7b881173d3d6633fbcc7e80b466791f239c368637facff4938819e1c7a2a6",
+    "adair": "490c3bbf7499b7d629b658ec9397ae2b63331d11a6fdc7a23505391d59258676",
 }
 
 

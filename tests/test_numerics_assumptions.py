@@ -119,21 +119,16 @@ def test_take_rows_equals_row_indexing(mode):
     assert np.array_equal(out, a[idx])
 
 
-def test_bool_division_bars_visited_cities_exactly():
-    # argmax_select_block subtracts the mask times the bits of +inf, viewed
-    # as float64, from the scores: the bytes of visited / ~visited, +inf at
-    # visited cities and +0.0 (no sign bit) elsewhere
-    visited = np.array([True, False])
-    with np.errstate(all="raise"):
-        bar = np.multiply(visited, 0x7FF0000000000000, dtype=np.uint64).view(np.float64)
-    with np.errstate(divide="ignore"):
-        division = np.divide(visited, ~visited)
-    assert bar.dtype == np.float64
-    assert bar.tobytes() == division.tobytes()
-    assert bar[0] == np.inf
-    assert bar[1] == 0.0 and not np.signbit(bar[1])
-    # x - 0.0 keeps every bit of x, -0.0 and -inf included ...
-    x = np.array([-0.0, 0.0, -1e-310, -3.25, -1e300, -np.inf])
-    assert (x - 0.0).tobytes() == x.tobytes()
-    # ... and x - inf is -inf for each of them
-    assert np.all(x - np.inf == -np.inf)
+def test_all_zero_rows_show_at_the_pick():
+    # construct_tours flags an ant whose candidates all weigh zero by the
+    # kernel's entry at the pick: -inf - E stays -inf for a finite deviate,
+    # the wheel's 0/0 CDF is NaN, and neither compares above -inf; a
+    # positive total divides itself to exactly 1.0, the CDF's top
+    e = np.array([0.0, 1e-300, 3.5, 700.0])
+    assert np.all(-np.inf - e == -np.inf)
+    with np.errstate(invalid="ignore"):
+        cdf = np.divide(np.zeros(3), 0.0)
+    assert np.all(np.isnan(cdf))
+    assert not np.any(np.array([-np.inf, np.nan]) > -np.inf)
+    x = RNG.uniform(1e-300, 1e300, size=4096)
+    assert np.all(x / x == 1.0)

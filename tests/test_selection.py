@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import integrate
 
 from antbatch import rng
 from antbatch.model import GammaSchedule
@@ -68,11 +69,17 @@ def test_scaled_log_weights_divides_by_gamma():
 
 # roulette kernel -------------------------------------------------------------
 
+def _blocks(m, r):
+    """The kernels' caller-owned scratch and index blocks."""
+    return np.empty((m, r)), np.empty((m, r), dtype=np.int64)
+
+
 def _spin(w, u: float) -> int:
-    """One roulette spin through the kernel: a one-row block, nothing visited."""
+    """One roulette spin through the kernel: a one-row block, every city a
+    candidate in index order, so the picked column is the city."""
     w = np.asarray(w, dtype=np.float64)
     return int(rw_spin_block(w[None], np.zeros(1, dtype=np.int64), np.array([u]),
-                             np.zeros((1, w.size), dtype=bool), np.empty((1, w.size)))[0])
+                             np.arange(w.size)[None], *_blocks(1, w.size))[0])
 
 
 def test_rw_spin_hand_cases():
@@ -87,7 +94,7 @@ def test_rw_spin_never_selects_zero_weight():
     u = np.linspace(0.0, 0.999999, 37)
     m = u.size
     got = rw_spin_block(w[None], np.zeros(m, dtype=np.int64), u,
-                        np.zeros((m, 3), dtype=bool), np.empty((m, 3)))
+                        np.broadcast_to(np.arange(3), (m, 3)), *_blocks(m, 3))
     assert np.all(got == 1)
 
 
@@ -98,34 +105,84 @@ def test_rw_spin_threshold_at_total_falls_back_to_last_positive():
     assert _spin(w, 1.0 - 1e-17) == 1
 
 
+def _candidate_prefixes(g, m, n, r):
+    """(m, n) rows, each a random permutation of the cities, and the (m, r)
+    view of their first r columns: the candidates."""
+    cand = np.argsort(g.uniform(size=(m, n)), axis=1)
+    return cand, cand[:, :r]
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_rw_spin_always_positive_weight(seed):
-    # m ants at once, each on its own row with its own visited mask
+    # m ants at once, each on its own row with its own candidates
     g = np.random.default_rng(seed)
     m, n = int(g.integers(1, 9)), int(g.integers(2, 12))
+    r = int(g.integers(1, n + 1))
     p = g.uniform(0.0, 1.0, (m, n)) * (g.uniform(size=(m, n)) < 0.7)
-    visited = g.uniform(size=(m, n)) >= 0.7
-    keep = g.integers(0, n, m)   # one positive, unvisited candidate per row
+    _, cand = _candidate_prefixes(g, m, n, r)
+    keep = cand[np.arange(m), g.integers(0, r, m)]   # one positive candidate per row
     p[np.arange(m), keep] = 0.5
-    visited[np.arange(m), keep] = False
     u = g.uniform(size=m)
     u[g.uniform(size=m) < 0.2] = 1.0 - 1e-17
-    got = rw_spin_block(p, np.arange(m), u, visited, np.empty((m, n)))
-    assert np.all(p[np.arange(m), got] > 0.0)
-    assert not visited[np.arange(m), got].any()
+    got = rw_spin_block(p, np.arange(m), u, cand, *_blocks(m, r))
+    assert np.all((0 <= got) & (got < r))
+    assert np.all(p[np.arange(m), cand[np.arange(m), got]] > 0.0)
+
+
+def _scalar_spin(weights: list[float], u: float) -> int:
+    """The wheel as a running sum over the candidates in their order: the
+    first column whose prefix sum over the total exceeds u, else the last
+    positive weight; column 0 when every weight is zero."""
+    total = 0.0
+    for w in weights:
+        total += w
+    if not total > 0.0:
+        return 0
+    run = 0.0
+    for j, w in enumerate(weights):
+        run += w
+        if run / total > u:
+            return j
+    return max(j for j, w in enumerate(weights) if w > 0.0)
+
+
+_WEIGHTS = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+_THRESHOLDS = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_rw_spin_block_is_the_scalar_spin_over_the_candidates(data):
+    n = data.draw(st.integers(1, 9))
+    m = data.draw(st.integers(1, 6))
+    r = data.draw(st.integers(1, n))
+    table = data.draw(arrays(np.float64, (n, n), elements=_WEIGHTS))
+    current = data.draw(arrays(np.int64, m, elements=st.integers(0, n - 1)))
+    cand = np.array([data.draw(st.permutations(range(n))) for _ in range(m)],
+                    dtype=np.int64)[:, :r]
+    u = data.draw(arrays(np.float64, m, elements=_THRESHOLDS))
+    scratch, index = _blocks(m, r)
+    with np.errstate(invalid="ignore"):   # 0/0 marks an all-zero row
+        got = rw_spin_block(table, current, u, cand, scratch, index)
+    for a in range(m):
+        weights = table[current[a], cand[a]].tolist()
+        assert got[a] == _scalar_spin(weights, float(u[a]))
+        # the CDF entry at the pick is NaN exactly for an all-zero row
+        assert np.isnan(scratch[a, got[a]]) == (sum(weights) == 0.0)
 
 
 # argmax kernel ---------------------------------------------------------------
 
 def test_argmax_select_block_masks_visited():
-    logw = np.log(np.array([[0.9, 0.05, 0.05]]))
-    e = np.array([[0.0, 5.0, 5.0]] * 2)
-    visited = np.array([[False, False, False], [True, False, False]])
-    got = argmax_select_block(logw, np.zeros(2, dtype=np.int64), e, visited,
-                              np.empty((2, 3)))
-    assert got[0] == 0
-    assert got[1] in (1, 2)
+    # both ants stand on city 0 with city 1 ahead by weight; ant 1 has
+    # visited city 1, which sits past its candidates and is never read
+    logw = np.log(np.array([[0.05, 0.9, 0.05]]))
+    e = np.array([[0.0, 5.0]] * 2)
+    cand = np.array([[1, 2], [2, 0]])
+    got = argmax_select_block(logw, np.zeros(2, dtype=np.int64), e, cand, *_blocks(2, 2))
+    assert cand[0, got[0]] == 1
+    assert cand[1, got[1]] == 2
 
 
 # few distinct values, so that ties are common; -inf is a zero weight
@@ -136,23 +193,30 @@ _DEVIATES = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 40.0)
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_argmax_select_block_is_the_masked_argmax(data):
+    # the argmax of table[current, cand] - deviates over the first r
+    # candidate columns, every later column masked
     n = data.draw(st.integers(1, 9))
     m = data.draw(st.integers(1, 6))
+    r = data.draw(st.integers(1, n))
     table = data.draw(arrays(np.float64, (n, n), elements=_LOG_WEIGHTS))
     if data.draw(st.booleans()):
         table[data.draw(st.integers(0, n - 1))] = -np.inf
     current = data.draw(arrays(np.int64, m, elements=st.integers(0, n - 1)))
+    cand = np.array([data.draw(st.permutations(range(n))) for _ in range(m)],
+                    dtype=np.int64)
     deviates = data.draw(arrays(np.float64, (m, n), elements=_DEVIATES))
-    visited = data.draw(arrays(np.bool_, (m, n)))
-    if data.draw(st.booleans()):
-        a = data.draw(st.integers(0, m - 1))
-        visited[a] = True
-        visited[a, data.draw(st.integers(0, n - 1))] = False
-    expected = np.where(visited, -np.inf, table[current] - deviates).argmax(1)
+    scores = np.where(np.arange(n) < r, table[current[:, None], cand] - deviates, -np.inf)
+    expected = scores.argmax(1)
+    scratch, index = _blocks(m, r)
     # no suppressed flag: the kernel raises none of its own
     with np.errstate(all="raise"):
-        got = argmax_select_block(table, current, deviates, visited, np.empty((m, n)))
+        got = argmax_select_block(table, current, deviates[:, :r].copy(), cand[:, :r],
+                                  scratch, index)
     assert np.array_equal(got, expected)
+    # the score at the pick is -inf exactly for a row of zero weights only
+    rows = np.arange(m)
+    assert np.array_equal(scratch[rows, got] == -np.inf,
+                          np.all(table[current[:, None], cand[:, :r]] == -np.inf, axis=1))
 
 
 def test_power_domain_and_log_domain_agree():
@@ -168,8 +232,48 @@ def test_power_domain_and_log_domain_agree():
             power_idx = int(np.argmax(np.power(r, gamma) * p))
             log_idx = argmax_select_block(scaled_log_weights(p, gamma)[None],
                                           np.zeros(1, dtype=np.int64), e[None],
-                                          np.zeros((1, n), dtype=bool), np.empty((1, n)))[0]
+                                          np.arange(n)[None], *_blocks(1, n))[0]
             assert power_idx == log_idx
+
+
+# mid-tour choice distribution --------------------------------------------------
+
+def _ir_closed_form(w: np.ndarray) -> np.ndarray:
+    """P(argmax_j w_j U_j = i) for i.i.d. uniform U: the integral over u of
+    prod_{k != i} min(1, w_i u / w_k)."""
+    out = np.empty(w.size)
+    for i in range(w.size):
+        others = np.delete(w, i)
+        out[i] = integrate.quad(lambda u: np.prod(np.minimum(1.0, w[i] * u / others)),
+                                0.0, 1.0, points=sorted(others / w[i]))[0]
+    return out
+
+
+@pytest.mark.parametrize("mech", ["rw", "ir"])
+def test_mid_tour_choice_frequencies_ignore_candidate_order(mech):
+    # two of seven cities already visited (swapped past the candidates),
+    # and every trial row holds the other five in its own random order; the
+    # picks must follow the weights renormalized over the unvisited cities
+    g = np.random.default_rng(17)
+    p = np.array([0.0, 0.3, 0.1, 0.25, 0.05, 0.2, 0.1])
+    unvisited = np.array([1, 2, 4, 5, 6])   # 0 is the current city, 3 visited
+    trials, r = 200_000, unvisited.size
+    cand = np.empty((trials, p.size), dtype=np.int64)
+    cand[:, :r] = unvisited[np.argsort(g.uniform(size=(trials, r)), axis=1)]
+    cand[:, r:] = [3, 0]
+    current = np.zeros(trials, dtype=np.int64)
+    if mech == "rw":
+        kernel, table, deviates = rw_spin_block, p[None], g.uniform(size=trials)
+        expected = p[unvisited] / p[unvisited].sum()
+    else:
+        kernel, table = argmax_select_block, scaled_log_weights(p, 1.0)[None]
+        deviates = g.standard_exponential((trials, r))
+        expected = _ir_closed_form(p[unvisited])
+    pos = kernel(table, current, deviates, cand[:, :r], *_blocks(trials, r))
+    picked = cand[np.arange(trials), pos]
+    freq = np.bincount(picked, minlength=p.size) / trials
+    assert freq[[0, 3]].sum() == 0.0
+    assert np.allclose(freq[unvisited], expected, atol=0.01)
 
 
 # transformed deviate distribution --------------------------------------------
