@@ -105,13 +105,6 @@ def test_rw_spin_threshold_at_total_falls_back_to_last_positive():
     assert _spin(w, 1.0 - 1e-17) == 1
 
 
-def _candidate_prefixes(g, m, n, r):
-    """(m, n) rows, each a random permutation of the cities, and the (m, r)
-    view of their first r columns: the candidates."""
-    cand = np.argsort(g.uniform(size=(m, n)), axis=1)
-    return cand, cand[:, :r]
-
-
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_rw_spin_always_positive_weight(seed):
@@ -120,7 +113,8 @@ def test_rw_spin_always_positive_weight(seed):
     m, n = int(g.integers(1, 9)), int(g.integers(2, 12))
     r = int(g.integers(1, n + 1))
     p = g.uniform(0.0, 1.0, (m, n)) * (g.uniform(size=(m, n)) < 0.7)
-    _, cand = _candidate_prefixes(g, m, n, r)
+    # each row's candidates: the first r cities of a random permutation
+    cand = np.argsort(g.uniform(size=(m, n)), axis=1)[:, :r]
     keep = cand[np.arange(m), g.integers(0, r, m)]   # one positive candidate per row
     p[np.arange(m), keep] = 0.5
     u = g.uniform(size=m)
@@ -244,8 +238,9 @@ def _ir_closed_form(w: np.ndarray) -> np.ndarray:
     out = np.empty(w.size)
     for i in range(w.size):
         others = np.delete(w, i)
+        kinks = sorted(k for k in others / w[i] if k < 1.0)
         out[i] = integrate.quad(lambda u: np.prod(np.minimum(1.0, w[i] * u / others)),
-                                0.0, 1.0, points=sorted(others / w[i]))[0]
+                                0.0, 1.0, points=kinks or None)[0]
     return out
 
 
