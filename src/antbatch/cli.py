@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 from dataclasses import replace
 
@@ -34,6 +35,8 @@ from .tsplib import parse_instance
 
 # Time-limited runs still need an iteration cap for record bookkeeping.
 _TIME_LIMIT_ITER_CAP = 1_000_000
+
+_GIB = float(1 << 30)
 
 
 def _open_out(path: str, newline: str | None = None):
@@ -151,17 +154,52 @@ def _overlay(args, params: AcoParams) -> AcoParams:
     return replace(params, gamma_schedule=sched, **given)
 
 
+def _dimension(path: str) -> int:
+    with open(path, "r", encoding="utf-8") as f:
+        return parse_instance(f.read()).dimension
+
+
 def _default_params(args, default_iters: int) -> AcoParams:
     """Defaults for the instance: --ants ants, or one per city without it,
     with k = m/10 as ``AcoParams.for_instance`` sizes them, --iters or
     ``default_iters`` iterations, and one gamma cycle over them."""
     max_iters = args.iters if args.iters is not None else default_iters
-    m = args.ants
-    if m is None:
-        with open(args.instance, "r", encoding="utf-8") as f:
-            m = parse_instance(f.read()).dimension
+    m = args.ants if args.ants is not None else _dimension(args.instance)
     return AcoParams.for_instance(m, max_iters=max_iters,
                                   gamma_schedule=GammaSchedule(period=max_iters))
+
+
+def _resident_bytes(n: int, m: int) -> int:
+    """Bytes of the 8-byte arrays a run holds at its peak: the instance's
+    dist and eta, tau and p, the two (n, n) arrays an iteration builds on
+    top of them, and construction's six (m, n) blocks (candidates,
+    deviates, scratch, gather index, tours and their pick check)."""
+    return 8 * (6 * n * n + 6 * m * n)
+
+
+def _memory_limit() -> tuple[int, str]:
+    """The smaller of the address-space soft limit and physical memory,
+    with its name."""
+    limits = [(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), "physical memory")]
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limits.append((soft, "the address-space limit"))
+    return min(limits)
+
+
+def _load(config: ExperimentConfig) -> TspInstance:
+    """``load_instance``, after checking from the file's DIMENSION and the
+    colony size that the run's arrays can fit in memory at all; ValueError
+    naming both sizes otherwise, before anything is allocated."""
+    n, m = _dimension(config.instance_path), config.params.m
+    need = _resident_bytes(n, m)
+    limit, what = _memory_limit()
+    if need > limit:
+        raise ValueError(
+            f"a run on n = {n} cities with m = {m} ants needs about "
+            f"{need / _GIB:.1f} GiB of arrays, more than {what} "
+            f"({limit / _GIB:.1f} GiB)")
+    return load_instance(config)
 
 
 def _run_and_write(config: ExperimentConfig, inst: TspInstance) -> tuple[list, list]:
@@ -194,7 +232,7 @@ def _cmd_solve(args) -> int:
     config = replace(base, params=_overlay(args, base.params),
                      lenient=args.lenient or base.lenient, **_given(args, _CONFIG_FLAGS))
 
-    records, summaries = _run_and_write(config, load_instance(config))
+    records, summaries = _run_and_write(config, _load(config))
     if config.output_path:
         best = min(s.final_best_cost for s in summaries)
         err = min((s.solution_error_percent for s in summaries
@@ -213,9 +251,9 @@ def _cmd_scaling(args) -> int:
         raise ValueError("--ants needs at least one colony size")
     instances = []
     for path in args.instances:
-        cfg = ExperimentConfig(params=AcoParams(m=1, k=1), instance_path=path,
+        cfg = ExperimentConfig(params=AcoParams(m=max(sizes), k=1), instance_path=path,
                                lenient=args.lenient)
-        instances.append(load_instance(cfg))
+        instances.append(_load(cfg))
     rows = run_scaling_study(
         instances, sizes, args.mode, iterations=args.iterations,
         repetitions=args.reps, seed=args.seed,
@@ -227,7 +265,7 @@ def _cmd_shift(args) -> int:
     params = _overlay(args, _default_params(args, args.iters))
     cfg = ExperimentConfig(params=params, instance_path=args.instance,
                            lenient=args.lenient)
-    inst = load_instance(cfg)
+    inst = _load(cfg)
     rows = run_probability_shift_study(inst, params, args.iters,
                                        trials=args.trials)
     return _write_rows(rows, SHIFT_COLUMNS, args.out)
@@ -235,7 +273,7 @@ def _cmd_shift(args) -> int:
 
 def _cmd_convergence(args) -> int:
     base = _overlay(args, _default_params(args, args.iters))
-    inst = load_instance(ExperimentConfig(params=base, instance_path=args.instance,
+    inst = _load(ExperimentConfig(params=base, instance_path=args.instance,
                                           best_known=args.best_known, lenient=args.lenient))
     report = []
     for mech in (Selection.RW, Selection.IR, Selection.ADAIR):

@@ -30,6 +30,7 @@ from .model import (
     Selection,
     TourBatch,
     TspInstance,
+    _adopt,
     batch_costs,
 )
 from .pheromone import accumulate_increments, apply_update, select_elite
@@ -53,20 +54,23 @@ def compute_probability_matrix(tau: PheromoneState, inst: TspInstance,
     The diagonal is forced to zero before normalization. Raises
     NumericalUnderflow when a row's normalizer is zero or non-finite.
     """
-    # overflow/underflow surfaces as a structured error below, not a warning
+    # the one (n, n) array built is the result: eta^beta, times tau^alpha
+    # in place (x * y == y * x in IEEE arithmetic, and pow(x, 1) == x, so
+    # the default alpha = 1 multiplies by tau itself); overflow/underflow
+    # surfaces as a structured error below, not a warning
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        p = np.power(tau.tau, params.alpha)
-        p *= np.power(inst.eta, params.beta)
+        p = np.power(inst.eta, params.beta)
+        p *= tau.tau if params.alpha == 1.0 else np.power(tau.tau, params.alpha)
     np.fill_diagonal(p, 0.0)
     sums = p.sum(axis=1, keepdims=True)
     if not np.all(np.isfinite(sums)) or np.any(sums <= 0.0):
         bad = int(np.argmin(np.where(np.isfinite(sums), sums, -np.inf)))
         raise NumericalUnderflow(
-            f"row {bad} normalizer is {sums[bad, 0]!r}; "
+            f"row {bad} normalizer is {float(sums[bad, 0])}; "
             "pheromone or heuristic values out of representable range"
         )
     p /= sums
-    return ProbabilityMatrix(p=p)
+    return _adopt(ProbabilityMatrix, p=p)
 
 
 def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
@@ -88,53 +92,55 @@ def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
 
     Raises AllZeroWeights, naming the ant, the iteration and the first such
     step, when every candidate of an ant has weight zero, as when large
-    exponents underflow the transition weights: the kernel's entry at the
-    pick is then -inf (argmax) or NaN (the wheel's 0/0 CDF). Those entries
-    are kept per step and tested once after the last step.
+    exponents underflow the transition weights. The kernel then picks a
+    candidate whose entry in its table is -inf (log weights) or 0 (the
+    wheel's p); no other pick has such an entry, so one check of the table
+    along the finished tours finds the first (step, ant).
     """
     n, m = inst.n, params.m
     if params.selection is Selection.RW:
-        table, draw, kernel = p.p, rng.step_uniforms, rw_spin_block
+        table, draw, kernel, empty = p.p, rng.step_uniforms, rw_spin_block, 0.0
     else:
         gamma = (gamma_at(iteration, params.gamma_schedule)
                  if params.selection is Selection.ADAIR else 1.0)
         table = scaled_log_weights(p.p, gamma)
-        draw, kernel = rng.step_exponentials, argmax_select_block
+        draw, kernel, empty = rng.step_exponentials, argmax_select_block, -np.inf
 
     keys = rng.step_keys(params.seed, iteration, n)
     current = rng.start_cities(params.seed, iteration, m, n)
-    rows = np.arange(m)
+    base = np.arange(m) * n  # offset of each ant's row in the flat block
     cand = np.tile(np.arange(n), (m, 1))
-    cand[rows, current] = n - 1
+    flat = cand.ravel()
+    flat[base + current] = n - 1
     cand[:, n - 1] = current
     deviates = np.empty(m * n)
     scratch = np.empty(m * n)
     index = np.empty(m * n, dtype=np.int64)
-    picked = np.zeros((n, m))  # row s: each ant's kernel entry at its pick
 
     # 0/0 in the wheel's CDF is an all-zero row, reported below
     with np.errstate(invalid="ignore"):
         for step in range(1, n):
             r = n - step
             block = draw(keys, step, m, r, out=deviates[:m * r].reshape(m, r))
-            scores = scratch[:m * r].reshape(m, r)
-            pos = kernel(table, current, block, cand[:, :r], scores,
-                         index[:m * r].reshape(m, r))
-            picked[step] = scores[rows, pos]
-            current = cand[rows, pos]
-            cand[rows, pos] = cand[:, r - 1]
-            cand[:, r - 1] = current
+            at = base + kernel(table, current, block, cand[:, :r],
+                               scratch[:m * r].reshape(m, r),
+                               index[:m * r].reshape(m, r))
+            last = cand[:, r - 1]
+            current = flat[at]
+            flat[at] = last
+            last[...] = current
 
-    dead = ~(picked > -np.inf)
+    tours = np.ascontiguousarray(cand[:, ::-1])
+    # column s - 1: each ant's table entry at its pick of step s
+    dead = ~(table.ravel()[tours[:, :-1] * n + tours[:, 1:]] > empty)
     if dead.any():
-        step, a = np.argwhere(dead)[0]
+        step, a = np.argwhere(dead.T)[0]
         raise AllZeroWeights(
             f"ant {a} has no unvisited city of positive weight at iteration "
-            f"{iteration}, step {step}: the transition weights of all its "
+            f"{iteration}, step {step + 1}: the transition weights of all its "
             "unvisited cities underflowed to zero"
         )
-    tours = np.ascontiguousarray(cand[:, ::-1])
-    return TourBatch(tours=tours, costs=batch_costs(tours, inst))
+    return _adopt(TourBatch, tours=tours, costs=batch_costs(tours, inst))
 
 
 def iterate(tau: PheromoneState, prob: ProbabilityMatrix, inst: TspInstance,
@@ -151,6 +157,7 @@ def iterate(tau: PheromoneState, prob: ProbabilityMatrix, inst: TspInstance,
     elites = select_elite(batch, params.k)
     # the deposit matrix is passed on, not named, so that it is freed before
     # the next transition matrix is built: the caller still holds the old
-    # tau and prob, and each is an (n, n) array
+    # tau and prob, so above them an iteration holds at most two (n, n)
+    # arrays at once (the deposit and the new tau, then the new tau and p)
     tau = apply_update(tau, accumulate_increments(elites, inst.n), params.rho)
     return batch, tau, compute_probability_matrix(tau, inst, params)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import TAU_MIN, PheromoneState, TourBatch, _check_permutation
+from .model import TAU_MIN, PheromoneState, TourBatch, _adopt, _check_permutation
 
 
 def select_elite(batch: TourBatch, k: int) -> list[tuple[np.ndarray, float]]:
@@ -66,4 +66,4 @@ def apply_update(tau: PheromoneState, delta: np.ndarray, rho: float) -> Pheromon
     new_tau = tau.tau * (1.0 - rho)
     new_tau += delta
     np.maximum(new_tau, TAU_MIN, out=new_tau)
-    return PheromoneState(tau=new_tau)
+    return _adopt(PheromoneState, tau=new_tau)

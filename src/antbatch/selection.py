@@ -80,7 +80,8 @@ def scaled_log_weights(p: np.ndarray, gamma: float) -> np.ndarray:
     """log(p) / gamma for non-negative p; zero entries map to -inf.
 
     One log pass and one in-place divide (log(0) is IEEE -inf, so no mask
-    is needed). Works elementwise on vectors and matrices alike; the batched
+    is needed), and no divide at gamma = 1, where it is an IEEE-exact
+    identity. Works elementwise on vectors and matrices alike; the batched
     pipeline applies it to the whole transition matrix once per iteration
     and the per-ant reference applies it the same way, so both read
     identical bits.
@@ -89,7 +90,8 @@ def scaled_log_weights(p: np.ndarray, gamma: float) -> np.ndarray:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     with np.errstate(divide="ignore"):
         logw = np.log(np.asarray(p, dtype=np.float64))
-    logw /= gamma
+    if gamma != 1.0:
+        logw /= gamma
     return logw
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -197,6 +198,49 @@ def test_out_of_memory_is_one_line_error(target, inst_path, tmp_path, capsys, mo
                "--out", str(tmp_path / "run.csv")])
     assert rc == 2
     assert capsys.readouterr().err == f"antbatch: error: out of memory: {_NO_MEMORY}\n"
+
+
+_TOO_MANY_ANTS = {
+    "solve": ["solve", "{inst}", "--ants", "5000000", "--iters", "1"],
+    "scaling": ["scaling", "--instances", "{inst}", "--ants", "4,5000000"],
+    "shift-study": ["shift-study", "{inst}", "--ants", "5000000", "--iters", "1"],
+    "convergence": ["convergence", "{inst}", "--ants", "5000000", "--iters", "1"],
+}
+# 8 * (6 * 12**2 + 6 * 5000000 * 12) bytes
+_TOO_LARGE = ("antbatch: error: a run on n = 12 cities with m = 5000000 ants needs "
+              "about 2.7 GiB of arrays, more than {what} (1.0 GiB)\n")
+
+
+def _never_loaded(config):
+    raise AssertionError(f"{config.instance_path} was loaded")
+
+
+@pytest.mark.parametrize("command", list(_TOO_MANY_ANTS))
+def test_run_too_large_for_the_address_space_limit_exits_before_loading(
+        command, inst_path, capsys, monkeypatch):
+    # the estimate from DIMENSION and m is checked before anything is
+    # allocated; here the soft limit is 1 GiB
+    real = resource.getrlimit
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (
+        (1 << 30, resource.RLIM_INFINITY) if which == resource.RLIMIT_AS else real(which)))
+    monkeypatch.setattr("antbatch.cli.load_instance", _never_loaded)
+    rc = main([arg.format(inst=inst_path) for arg in _TOO_MANY_ANTS[command]])
+    assert rc == 2
+    assert capsys.readouterr().err == _TOO_LARGE.format(what="the address-space limit")
+
+
+def test_run_too_large_for_physical_memory_exits_before_loading(inst_path, capsys,
+                                                                 monkeypatch):
+    real = os.sysconf
+    pages = (1 << 30) // real("SC_PAGE_SIZE")
+    monkeypatch.setattr(os, "sysconf",
+                        lambda name: pages if name == "SC_PHYS_PAGES" else real(name))
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (
+        resource.RLIM_INFINITY, resource.RLIM_INFINITY))
+    monkeypatch.setattr("antbatch.cli.load_instance", _never_loaded)
+    rc = main(["solve", inst_path, "--ants", "5000000", "--iters", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == _TOO_LARGE.format(what="physical memory")
 
 
 def test_iters_and_time_limit_are_mutually_exclusive(inst_path, capsys):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antbatch import rng
 from antbatch.bench import make_synthetic_instance
@@ -22,8 +24,9 @@ from antbatch.model import (
     build_instance,
     tour_cost,
 )
+from antbatch.oracle import sequential_aco_step
 from antbatch.pheromone import accumulate_increments, apply_update, select_elite
-from antbatch.selection import AllZeroWeights
+from antbatch.selection import AllZeroWeights, gamma_at, scaled_log_weights
 
 from conftest import random_metric_instance
 
@@ -70,6 +73,17 @@ def test_zero_rows_raise_numerical_underflow():
     dead = PheromoneState(tau=np.zeros((5, 5)))
     with pytest.raises(NumericalUnderflow):
         compute_probability_matrix(dead, inst, params_for(inst, Selection.IR))
+
+
+def test_zero_tau_row_names_its_normalizer_as_a_plain_float():
+    inst = make(5)
+    tau = np.ones((5, 5))
+    tau[3] = 0.0
+    with pytest.raises(NumericalUnderflow) as err:
+        compute_probability_matrix(PheromoneState(tau=tau), inst,
+                                   params_for(inst, Selection.IR))
+    assert str(err.value) == ("row 3 normalizer is 0.0; pheromone or heuristic "
+                              "values out of representable range")
 
 
 def test_non_finite_rows_raise():
@@ -263,6 +277,62 @@ def test_all_zero_weights_raise_while_city_zero_is_unvisited(mech):
         construct_tours(ProbabilityMatrix(p=p), inst, params, iteration=0)
 
 
+# (mechanism, gamma schedule, iteration) for the all-zero check below. At
+# iteration 10**9 - 1 of a 10**9 period cos() rounds to -1, so gamma is
+# exactly gamma_min. At gamma_min = 1e-300 the log weights stay finite
+# (|log p| <= 745 and 745e300 is below the largest double); at 1e-310
+# every p below exp(-0.018) divides to -inf although it is positive.
+_ZERO_WEIGHT_CASES = {
+    "rw": (Selection.RW, GammaSchedule(), 0),
+    "ir": (Selection.IR, GammaSchedule(), 0),
+    "adair": (Selection.ADAIR, GammaSchedule(), 0),
+    "adair-gamma-1e-300": (
+        Selection.ADAIR, GammaSchedule(gamma_max=1.0, gamma_min=1e-300, period=10**9),
+        10**9 - 1),
+    "adair-gamma-1e-310": (
+        Selection.ADAIR, GammaSchedule(gamma_max=1.0, gamma_min=1e-310, period=10**9),
+        10**9 - 1),
+}
+
+
+def test_tiny_gamma_cases_reach_gamma_min():
+    for mech, schedule, it in _ZERO_WEIGHT_CASES.values():
+        if mech is Selection.ADAIR and it:
+            assert gamma_at(it, schedule) == schedule.gamma_min
+    with np.errstate(over="ignore"):
+        assert scaled_log_weights(np.array([1e-300]), 1e-310)[0] == -np.inf
+    assert np.isfinite(scaled_log_weights(np.array([5e-324]), 1e-300)[0])
+
+
+@pytest.mark.parametrize("case", list(_ZERO_WEIGHT_CASES))
+@given(st.integers(0, 2**32 - 1), st.integers(4, 9), st.integers(1, 6),
+       st.sampled_from([0.0, 0.5, 0.8]))
+@settings(max_examples=40, deadline=None)
+def test_all_zero_weights_check_matches_the_oracle(case, seed, n, m, zero_share):
+    # tau with zero entries (each row keeps one positive weight, so the
+    # matrix normalizes): the batched check after the last step flags the
+    # first (step, ant) that the oracle's per-step scan raises at, or
+    # neither raises and the tours agree
+    mech, schedule, iteration = _ZERO_WEIGHT_CASES[case]
+    g = np.random.default_rng(seed)
+    inst = make(n, seed=seed)
+    tau = g.uniform(0.2, 3.0, (n, n)) * (g.random((n, n)) >= zero_share)
+    tau[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    tau = PheromoneState(tau=tau)
+    params = params_for(inst, mech, m=m, k=1, seed=seed, gamma_schedule=schedule)
+    prob = compute_probability_matrix(tau, inst, params)
+    with np.errstate(over="ignore"):
+        try:
+            want = sequential_aco_step(tau, inst, params, iteration)[0]
+        except AllZeroWeights as e:
+            with pytest.raises(AllZeroWeights) as got:
+                construct_tours(prob, inst, params, iteration)
+            assert str(got.value).startswith(f"{e}: ")
+        else:
+            assert np.array_equal(construct_tours(prob, inst, params, iteration).tours,
+                                  want.tours)
+
+
 # iteration -------------------------------------------------------------------
 
 @pytest.mark.parametrize("mech", list(Selection))
@@ -307,3 +377,51 @@ def test_iterate_outputs_are_pinned(mech):
         for a in (batch.tours, batch.costs, tau.tau, prob.p):
             h.update(a.tobytes())
     assert h.hexdigest() == ITERATE_DIGESTS[mech.value]
+
+
+@pytest.mark.parametrize("mech", list(Selection))
+def test_iterate_holds_at_most_two_and_a_half_matrices_above_its_inputs(mech):
+    # Above the caller's tau and p, one iteration builds the log table (argmax
+    # mechanisms), the deposit, the new tau and the new p, and holds at most
+    # two of them at once, plus (m, n) blocks; a copy of tau or p on top of
+    # them, or a temporary in the refresh, is a third.
+    n = 400
+    inst = make(n, seed=1)
+    params = params_for(inst, mech, m=10, k=2, seed=1)
+    tau = PheromoneState.initial(n, params.q0_tau)
+    prob = compute_probability_matrix(tau, inst, params)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        iterate(tau, prob, inst, params, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / (8 * n * n) <= 2.5
+
+
+def _arrays(*values):
+    return [a for v in values for a in vars(v).values() if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("mech", list(Selection))
+def test_returned_arrays_are_read_only_and_share_no_input(mech):
+    inst = make(12, seed=6)
+    params = params_for(inst, mech, m=5, k=2, seed=2)
+    tau = PheromoneState.initial(12, params.q0_tau)
+    prob = compute_probability_matrix(tau, inst, params)
+    batch = construct_tours(prob, inst, params, 1)
+    delta = accumulate_increments(select_elite(batch, params.k), inst.n)
+    tau1 = apply_update(tau, delta, params.rho)
+    outputs = {
+        "compute_probability_matrix": (_arrays(prob), _arrays(tau, inst)),
+        "construct_tours": (_arrays(batch), _arrays(prob, inst)),
+        "apply_update": (_arrays(tau1), [delta, *_arrays(tau)]),
+        "iterate": (_arrays(*iterate(tau, prob, inst, params, 1)),
+                    _arrays(tau, prob, inst)),
+    }
+    for name, (outs, ins) in outputs.items():
+        assert outs, name
+        for out in outs:
+            assert not out.flags.writeable, name
+            assert not any(np.shares_memory(out, a) for a in ins), name

@@ -59,3 +59,25 @@ def test_package_gathers_into_out_without_a_buffer():
             if name == "take" and "out" in keywords and "mode" not in keywords:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+
+def test_only_model_adopts_arrays():
+    # model._adopt is the one path that stores an array without a copy, so
+    # no other module marks an array read-only or builds a value past its
+    # __post_init__, and within model only _adopt does the latter
+    owners = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.partition(':')[0]}:{node.name}"
+        if isinstance(node, ast.Attribute) and node.attr in ("writeable", "setflags", "__new__"):
+            owners.add((node.attr, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(antbatch.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)),
+              f"{path.name}:<module>")
+    assert owners == {("writeable", "model.py:_frozen"), ("writeable", "model.py:_adopt"),
+                      ("__new__", "model.py:_adopt")}

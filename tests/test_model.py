@@ -10,8 +10,11 @@ from antbatch.model import (
     GammaSchedule,
     InvalidPermutation,
     PheromoneState,
+    ProbabilityMatrix,
     Selection,
     TAU_MIN,
+    TourBatch,
+    TspInstance,
     batch_costs,
     build_instance,
     euclidean_instance,
@@ -60,6 +63,39 @@ def test_instance_arrays_are_frozen(square5):
         square5.dist[0, 1] = 99.0
     with pytest.raises(ValueError):
         square5.eta[0, 1] = 99.0
+
+
+def test_public_constructors_copy_their_arrays():
+    # a caller's array never aliases a value: writing to it afterwards
+    # changes nothing the value holds
+    g = np.random.default_rng(0)
+    given = {
+        TspInstance: {"dist": g.uniform(1, 2, (4, 4)), "eta": g.uniform(1, 2, (4, 4))},
+        PheromoneState: {"tau": g.uniform(1, 2, (4, 4))},
+        ProbabilityMatrix: {"p": g.uniform(0, 1, (4, 4))},
+        TourBatch: {"tours": np.array([[0, 1, 2, 3]]), "costs": np.array([4.0])},
+    }
+    for cls, arrays in given.items():
+        before = {name: a.copy() for name, a in arrays.items()}
+        extra = {"n": 4} if cls is TspInstance else {}
+        value = cls(**extra, **arrays)
+        for name, a in arrays.items():
+            a += 1
+            held = getattr(value, name)
+            assert np.array_equal(held, before[name]), (cls.__name__, name)
+            assert not held.flags.writeable and not np.shares_memory(held, a)
+
+
+def test_built_instances_share_no_input_and_are_read_only():
+    coords = np.random.default_rng(1).uniform(0, 100, (6, 2))
+    raw = parse_instance(
+        "DIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n"
+        "1 0.0 0.0\n2 3.0 0.0\n3 0.0 4.0\n")
+    for inst, given in ((euclidean_instance(coords), coords), (build_instance(raw), None)):
+        for a in (inst.dist, inst.eta):
+            assert not a.flags.writeable
+            assert given is None or not np.shares_memory(a, given)
+        assert not np.shares_memory(inst.dist, inst.eta)
 
 
 def test_build_instance_from_tsplib_rounds():
