@@ -4,7 +4,9 @@ Subcommands: solve (one experiment, per-iteration CSV), scaling (batched vs
 sequential runtime grid), shift-study (selection probability shift under the
 adaptive mechanism), convergence (three-mechanism ablation on one instance).
 Exit status 0 on success; structured errors and running out of memory
-print one line to stderr and exit 2.
+print one line to stderr and exit 2, and so does a run whose arrays cannot
+fit in memory, found from the instance's DIMENSION and the colony size
+before the instance is loaded.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from .tsplib import parse_instance
 
 # Time-limited runs still need an iteration cap for record bookkeeping.
 _TIME_LIMIT_ITER_CAP = 1_000_000
-
-_GIB = float(1 << 30)
 
 
 def _open_out(path: str, newline: str | None = None):
@@ -197,8 +197,8 @@ def _load(config: ExperimentConfig) -> TspInstance:
     if need > limit:
         raise ValueError(
             f"a run on n = {n} cities with m = {m} ants needs about "
-            f"{need / _GIB:.1f} GiB of arrays, more than {what} "
-            f"({limit / _GIB:.1f} GiB)")
+            f"{need / 2**30:.1f} GiB of arrays, more than {what} "
+            f"({limit / 2**30:.1f} GiB)")
     return load_instance(config)
 
 
@@ -274,7 +274,7 @@ def _cmd_shift(args) -> int:
 def _cmd_convergence(args) -> int:
     base = _overlay(args, _default_params(args, args.iters))
     inst = _load(ExperimentConfig(params=base, instance_path=args.instance,
-                                          best_known=args.best_known, lenient=args.lenient))
+                                  best_known=args.best_known, lenient=args.lenient))
     report = []
     for mech in (Selection.RW, Selection.IR, Selection.ADAIR):
         params = replace(base, selection=mech)

@@ -99,12 +99,12 @@ def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
     """
     n, m = inst.n, params.m
     if params.selection is Selection.RW:
-        table, draw, kernel, empty = p.p, rng.step_uniforms, rw_spin_block, 0.0
+        table, draw, kernel, no_weight = p.p, rng.step_uniforms, rw_spin_block, 0.0
     else:
         gamma = (gamma_at(iteration, params.gamma_schedule)
                  if params.selection is Selection.ADAIR else 1.0)
         table = scaled_log_weights(p.p, gamma)
-        draw, kernel, empty = rng.step_exponentials, argmax_select_block, -np.inf
+        draw, kernel, no_weight = rng.step_exponentials, argmax_select_block, -np.inf
 
     keys = rng.step_keys(params.seed, iteration, n)
     current = rng.start_cities(params.seed, iteration, m, n)
@@ -131,8 +131,14 @@ def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
             last[...] = current
 
     tours = np.ascontiguousarray(cand[:, ::-1])
-    # column s - 1: each ant's table entry at its pick of step s
-    dead = ~(table.ravel()[tours[:, :-1] * n + tours[:, 1:]] > empty)
+    # column s - 1: each ant's table entry at its pick of step s, gathered
+    # through the step buffers, which are free now
+    edges = index[:m * (n - 1)].reshape(m, n - 1)
+    np.multiply(tours[:, :-1], n, out=edges)
+    edges += tours[:, 1:]
+    picked = np.take(table.ravel(), edges, out=scratch[:m * (n - 1)].reshape(m, n - 1),
+                     mode="clip")
+    dead = ~(picked > no_weight)
     if dead.any():
         step, a = np.argwhere(dead.T)[0]
         raise AllZeroWeights(

@@ -57,8 +57,8 @@ def _adopt(cls, **values):
     """A ``cls`` value holding ``values`` as they are, without the copy its
     ``__post_init__`` makes: the one path for arrays the package has just
     built and keeps no other reference to. Each array is marked read-only,
-    so it can never be written through the value; the caller's checks on
-    the other fields are the ones ``__post_init__`` would make."""
+    so nothing writes to it afterwards. ``__post_init__`` does not run, so
+    the caller makes any other check it would make."""
     obj = object.__new__(cls)
     for name, value in values.items():
         if isinstance(value, np.ndarray):
