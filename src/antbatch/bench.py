@@ -146,10 +146,12 @@ def make_synthetic_instance(n: int, seed: int = 0, kind: str = "clustered",
     )
 
 
-def load_instance(config: ExperimentConfig) -> TspInstance:
-    """Parse and build the instance file that ``config`` names."""
-    with open(config.instance_path, "r", encoding="utf-8") as f:
-        raw = parse_instance(f.read())
+def load_instance(config: ExperimentConfig, raw: RawTspFile | None = None) -> TspInstance:
+    """Build the instance file that ``config`` names, parsing it unless
+    ``raw`` is that file already parsed."""
+    if raw is None:
+        with open(config.instance_path, "r", encoding="utf-8") as f:
+            raw = parse_instance(f.read())
     return build_instance(raw, best_known=config.best_known, lenient=config.lenient)
 
 

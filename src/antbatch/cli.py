@@ -6,7 +6,7 @@ adaptive mechanism), convergence (three-mechanism ablation on one instance).
 Exit status 0 on success; structured errors and running out of memory
 print one line to stderr and exit 2, and so does a run whose arrays cannot
 fit in memory, found from the instance's DIMENSION and the colony size
-before the instance is loaded.
+before the instance's arrays are built.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .bench import (
     write_records_csv,
 )
 from .model import AcoParams, GammaSchedule, Selection, TspInstance
-from .tsplib import parse_instance
+from .tsplib import RawTspFile, parse_instance
 
 # Time-limited runs still need an iteration cap for record bookkeeping.
 _TIME_LIMIT_ITER_CAP = 1_000_000
@@ -154,27 +154,32 @@ def _overlay(args, params: AcoParams) -> AcoParams:
     return replace(params, gamma_schedule=sched, **given)
 
 
-def _dimension(path: str) -> int:
+def _read(path: str) -> RawTspFile:
+    """The parsed instance file; each command parses each file once."""
     with open(path, "r", encoding="utf-8") as f:
-        return parse_instance(f.read()).dimension
+        return parse_instance(f.read())
 
 
-def _default_params(args, default_iters: int) -> AcoParams:
-    """Defaults for the instance: --ants ants, or one per city without it,
-    with k = m/10 as ``AcoParams.for_instance`` sizes them, --iters or
-    ``default_iters`` iterations, and one gamma cycle over them."""
+def _default_params(args, default_iters: int, n: int) -> AcoParams:
+    """Defaults for an instance of n cities: --ants ants, or one per city
+    without it, with k = m/10 as ``AcoParams.for_instance`` sizes them,
+    --iters or ``default_iters`` iterations, and one gamma cycle over them."""
     max_iters = args.iters if args.iters is not None else default_iters
-    m = args.ants if args.ants is not None else _dimension(args.instance)
+    m = args.ants if args.ants is not None else n
     return AcoParams.for_instance(m, max_iters=max_iters,
                                   gamma_schedule=GammaSchedule(period=max_iters))
 
 
 def _resident_bytes(n: int, m: int) -> int:
-    """Bytes of the 8-byte arrays a run holds at its peak: the instance's
-    dist and eta, tau and p, the two (n, n) arrays an iteration builds on
-    top of them, and construction's six (m, n) blocks (candidates,
-    deviates, scratch, gather index, tours and their pick check)."""
-    return 8 * (6 * n * n + 6 * m * n)
+    """Bytes of the arrays a run holds at its peak: six 8-byte (n, n) arrays
+    (the instance's dist and eta, tau and p, and the two an iteration builds
+    on top of them) and construction's arrays: seven 8-byte (m, n) blocks
+    (candidates, deviates, scratch, gather index, tours, and the rolled and
+    gathered copies of ``batch_costs``), the pick check's (m, n) bool mask
+    and a few 8-byte (m,) vectors, counted as six. Traced, one construction
+    peaks at 7.2 8-byte (m, n) blocks at n = 60, 7.5 at n = 12 and 8.8 at
+    n = 3; this count gives 7.2, 7.6 and 9.1."""
+    return 8 * (6 * n * n + 7 * m * n + 6 * m) + m * n
 
 
 def _memory_limit() -> tuple[int, str]:
@@ -187,11 +192,12 @@ def _memory_limit() -> tuple[int, str]:
     return min(limits)
 
 
-def _load(config: ExperimentConfig) -> TspInstance:
-    """``load_instance``, after checking from the file's DIMENSION and the
-    colony size that the run's arrays can fit in memory at all; ValueError
-    naming both sizes otherwise, before anything is allocated."""
-    n, m = _dimension(config.instance_path), config.params.m
+def _load(config: ExperimentConfig, raw: RawTspFile) -> TspInstance:
+    """``load_instance`` of ``raw``, the parsed file that ``config`` names,
+    after checking from its DIMENSION and the colony size that the run's
+    arrays can fit in memory at all; ValueError naming both sizes
+    otherwise, before anything is allocated."""
+    n, m = raw.dimension, config.params.m
     need = _resident_bytes(n, m)
     limit, what = _memory_limit()
     if need > limit:
@@ -199,7 +205,7 @@ def _load(config: ExperimentConfig) -> TspInstance:
             f"a run on n = {n} cities with m = {m} ants needs about "
             f"{need / 2**30:.1f} GiB of arrays, more than {what} "
             f"({limit / 2**30:.1f} GiB)")
-    return load_instance(config)
+    return load_instance(config, raw)
 
 
 def _run_and_write(config: ExperimentConfig, inst: TspInstance) -> tuple[list, list]:
@@ -223,16 +229,18 @@ def _cmd_solve(args) -> int:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as f:
             base = config_from_dict(json.load(f))
+        raw = _read(args.instance if args.instance is not None else base.instance_path)
     elif args.instance is None:
         raise ValueError("solve needs an instance file or a --config naming one")
     else:
+        raw = _read(args.instance)
         iters = _TIME_LIMIT_ITER_CAP if args.time_limit is not None else 1000
-        base = ExperimentConfig(params=_default_params(args, iters),
+        base = ExperimentConfig(params=_default_params(args, iters, raw.dimension),
                                 instance_path=args.instance)
     config = replace(base, params=_overlay(args, base.params),
                      lenient=args.lenient or base.lenient, **_given(args, _CONFIG_FLAGS))
 
-    records, summaries = _run_and_write(config, _load(config))
+    records, summaries = _run_and_write(config, _load(config, raw))
     if config.output_path:
         best = min(s.final_best_cost for s in summaries)
         err = min((s.solution_error_percent for s in summaries
@@ -253,7 +261,7 @@ def _cmd_scaling(args) -> int:
     for path in args.instances:
         cfg = ExperimentConfig(params=AcoParams(m=max(sizes), k=1), instance_path=path,
                                lenient=args.lenient)
-        instances.append(_load(cfg))
+        instances.append(_load(cfg, _read(path)))
     rows = run_scaling_study(
         instances, sizes, args.mode, iterations=args.iterations,
         repetitions=args.reps, seed=args.seed,
@@ -262,19 +270,21 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_shift(args) -> int:
-    params = _overlay(args, _default_params(args, args.iters))
+    raw = _read(args.instance)
+    params = _overlay(args, _default_params(args, args.iters, raw.dimension))
     cfg = ExperimentConfig(params=params, instance_path=args.instance,
                            lenient=args.lenient)
-    inst = _load(cfg)
+    inst = _load(cfg, raw)
     rows = run_probability_shift_study(inst, params, args.iters,
                                        trials=args.trials)
     return _write_rows(rows, SHIFT_COLUMNS, args.out)
 
 
 def _cmd_convergence(args) -> int:
-    base = _overlay(args, _default_params(args, args.iters))
+    raw = _read(args.instance)
+    base = _overlay(args, _default_params(args, args.iters, raw.dimension))
     inst = _load(ExperimentConfig(params=base, instance_path=args.instance,
-                                  best_known=args.best_known, lenient=args.lenient))
+                                  best_known=args.best_known, lenient=args.lenient), raw)
     report = []
     for mech in (Selection.RW, Selection.IR, Selection.ADAIR):
         params = replace(base, selection=mech)

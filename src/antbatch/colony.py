@@ -7,9 +7,10 @@ Each ant keeps its unvisited cities in the first n - s columns of one
 those columns, so the block ends as the reversed tours and no step touches
 more than the (m, n - s) candidates. One iteration's randomness is
 addressed per construction step: step s draws one (m, n - s) deviate block
-covering every ant, keyed by the step (the rng module derives all of an
-iteration's step keys before its first step), so an ant's choices never
-depend on how the others are scheduled. The argmax mechanisms consume the
+covering every ant, from the step's SFC64 state (the rng module takes the
+states of all steps, and the start cities, from one keyed stream per
+iteration before the first step), so an ant's choices never depend on how
+the others are scheduled. The argmax mechanisms consume the
 full block through ``selection.argmax_select_block``; the roulette wheel
 consumes one threshold per ant (the uniform view of the block's first
 column) and runs all spins in lockstep through ``selection.rw_spin_block``,
@@ -106,8 +107,7 @@ def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
         table = scaled_log_weights(p.p, gamma)
         draw, kernel, no_weight = rng.step_exponentials, argmax_select_block, -np.inf
 
-    keys = rng.step_keys(params.seed, iteration, n)
-    current = rng.start_cities(params.seed, iteration, m, n)
+    current, keys = rng.construction_draws(params.seed, iteration, m, n)
     base = np.arange(m) * n  # offset of each ant's row in the flat block
     cand = np.tile(np.arange(n), (m, 1))
     flat = cand.ravel()

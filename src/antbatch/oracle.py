@@ -153,8 +153,7 @@ def sequential_aco_step(tau: PheromoneState, inst: TspInstance, params: AcoParam
     else:
         rows = scaled_log_weights(p, gamma).tolist()
 
-    keys = rng.step_keys(params.seed, iteration, n)
-    starts = rng.start_cities(params.seed, iteration, m, n)
+    starts, keys = rng.construction_draws(params.seed, iteration, m, n)
     tours = [[int(starts[a])] for a in range(m)]
     # each ant's unvisited cities are the first n - step entries of its
     # candidate list; a pick is swapped to the last of them

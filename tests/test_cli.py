@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -11,9 +12,10 @@ from antbatch.bench import (
     ExperimentConfig,
     make_synthetic_instance,
 )
-from antbatch.cli import main
-from antbatch.model import AcoParams, Selection
-from antbatch.tsplib import serialize_instance
+from antbatch.cli import _resident_bytes, main
+from antbatch.colony import compute_probability_matrix, construct_tours
+from antbatch.model import AcoParams, PheromoneState, Selection, build_instance
+from antbatch.tsplib import parse_instance, serialize_instance
 
 from conftest import PKG_DATA
 
@@ -206,9 +208,9 @@ _TOO_MANY_ANTS = {
     "shift-study": ["shift-study", "{inst}", "--ants", "5000000", "--iters", "1"],
     "convergence": ["convergence", "{inst}", "--ants", "5000000", "--iters", "1"],
 }
-# 8 * (6 * 12**2 + 6 * 5000000 * 12) bytes
+# 8 * (6 * 12**2 + 7 * 5000000 * 12 + 6 * 5000000) + 5000000 * 12 bytes
 _TOO_LARGE = ("antbatch: error: a run on n = 12 cities with m = 5000000 ants needs "
-              "about 2.7 GiB of arrays, more than {what} (1.0 GiB)\n")
+              "about 3.4 GiB of arrays, more than {what} (1.0 GiB)\n")
 
 
 def _never_loaded(config):
@@ -241,6 +243,54 @@ def test_run_too_large_for_physical_memory_exits_before_loading(inst_path, capsy
     rc = main(["solve", inst_path, "--ants", "5000000", "--iters", "1"])
     assert rc == 2
     assert capsys.readouterr().err == _TOO_LARGE.format(what="physical memory")
+
+
+@pytest.mark.parametrize("mech", list(Selection))
+@pytest.mark.parametrize("n, m", [(60, 4000), (12, 20000), (3, 50000)])
+def test_construction_peak_stays_within_the_size_checks_colony_term(n, m, mech):
+    # the (m, n) term of the up-front size check bounds what one
+    # construction allocates above its inputs
+    inst = build_instance(make_synthetic_instance(n, seed=1))
+    params = AcoParams.for_instance(m, selection=mech)
+    p = compute_probability_matrix(PheromoneState.initial(n, 1.0), inst, params)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        construct_tours(p, inst, params, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= _resident_bytes(n, m) - _resident_bytes(n, 0)
+
+
+_PARSE_ONCE = {
+    "solve": ["solve", "{inst}", "--iters", "1"],
+    "solve --ants": ["solve", "{inst}", "--ants", "4", "--iters", "1"],
+    "solve --config": ["solve", "--config", "{cfg}", "--iters", "1"],
+    "scaling": ["scaling", "--instances", "{inst}", "--ants", "4", "--mode", "batched",
+                "--iterations", "1", "--reps", "1"],
+    "shift-study": ["shift-study", "{inst}", "--iters", "1", "--trials", "10"],
+    "shift-study --ants": ["shift-study", "{inst}", "--ants", "4", "--iters", "1",
+                           "--trials", "10"],
+    "convergence": ["convergence", "{inst}", "--iters", "1", "--reps", "1",
+                    "--out-prefix", "{prefix}"],
+}
+
+
+@pytest.mark.parametrize("command", list(_PARSE_ONCE))
+def test_each_command_parses_its_instance_once(command, inst_path, tmp_path, monkeypatch):
+    parsed = []
+
+    def spy(text):
+        parsed.append(text)
+        return parse_instance(text)
+
+    for module in ("antbatch.cli", "antbatch.bench"):
+        monkeypatch.setattr(f"{module}.parse_instance", spy)
+    fields = {"inst": inst_path, "cfg": _config_file(tmp_path, inst_path),
+              "prefix": str(tmp_path / "conv")}
+    assert main([arg.format(**fields) for arg in _PARSE_ONCE[command]]) == 0
+    assert len(parsed) == 1
 
 
 def test_iters_and_time_limit_are_mutually_exclusive(inst_path, capsys):

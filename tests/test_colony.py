@@ -124,8 +124,8 @@ def test_construct_tours_deterministic(mech):
 
 @pytest.mark.parametrize("mech", list(Selection))
 def test_construct_tours_builds_one_seed_sequence(mech, monkeypatch):
-    # the step streams are re-keyed from keys derived once per iteration;
-    # only the start-city stream goes through a SeedSequence
+    # the step states and the start cities come from one keyed Philox
+    # stream per iteration, the only SeedSequence a construction builds
     inst = make(15, seed=2)
     params = params_for(inst, mech, m=4)
     p = compute_probability_matrix(PheromoneState.initial(15, 1.0), inst, params)
@@ -352,15 +352,15 @@ def test_iterate_chains_the_pipeline_in_order(mech):
 
 
 # Tours, costs, tau and the transition matrix of three iterations on a
-# 20-city instance, recorded when construction moved to compacted candidate
-# blocks (each step draws (m, n - s) deviates and scans the candidates in
-# swap-remove order, so the tours' bits changed). The digests are of float
+# 20-city instance, recorded when the step states and start cities moved to
+# one keyed Philox stream per iteration (every step block and start city,
+# so every tour's bits, changed). The digests are of float
 # bits, so they assume IEEE doubles and the numpy/libm results of an x86-64
 # Linux build.
 ITERATE_DIGESTS = {
-    "rw": "6d5af41cfa199ba615795bd9f127ab010a1588ae08f03f661d6f6dc941a27ee7",
-    "ir": "aeb7b881173d3d6633fbcc7e80b466791f239c368637facff4938819e1c7a2a6",
-    "adair": "490c3bbf7499b7d629b658ec9397ae2b63331d11a6fdc7a23505391d59258676",
+    "rw": "27bbacb639ba1c546d0683381ed9436b40f26ba40c5799115870fa3cc3c38b13",
+    "ir": "1cac530002e83a8c8467fb856065c81a99bde0d3b6648e757a66d3df5170c5d1",
+    "adair": "b8e208a7ce4cc175f5fbaef87e366cfbcfc080c81746365d438b5802667f6453",
 }
 
 

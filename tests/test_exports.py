@@ -61,6 +61,20 @@ def test_package_gathers_into_out_without_a_buffer():
     assert found == []
 
 
+def test_only_rng_names_the_bit_generators():
+    # rng keys every stream of a run; no other module builds a seed
+    # sequence or a bit generator of its own
+    names = {"SeedSequence", "Philox", "SFC64"}
+    found = []
+    for path in sorted(Path(antbatch.__file__).parent.glob("*.py")):
+        if path.name == "rng.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if getattr(node, "id", getattr(node, "attr", None)) in names
+                  or isinstance(node, ast.alias) and node.name in names]
+    assert found == []
+
 
 def test_only_model_adopts_arrays():
     # model._adopt is the one path that stores an array without a copy, so

@@ -21,7 +21,7 @@ def test_distinct_keys_distinct_streams():
     base = rng.stream(7, rng.DOMAIN_CONSTRUCT, 3, 2).standard_exponential(32)
     for other in (
         rng.stream(8, rng.DOMAIN_CONSTRUCT, 3, 2),
-        rng.stream(7, rng.DOMAIN_START, 3, 2),
+        rng.stream(7, rng.DOMAIN_MC, 3, 2),
         rng.stream(7, rng.DOMAIN_CONSTRUCT, 4, 2),
         rng.stream(7, rng.DOMAIN_CONSTRUCT, 3, 3),
     ):
@@ -33,27 +33,29 @@ _EDGE_SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1])
 
 @given(st.one_of(_EDGE_SEEDS, st.integers(0, 2**64 - 1)),
        st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]), st.integers(0, 2**40 - 1)),
-       st.sampled_from([1, 2, 7, 120]))
-@settings(max_examples=60, deadline=None)
-def test_step_keys_are_seed_sequence_keys(seed, iteration, n):
-    keys = rng.step_keys(seed, iteration, n)
-    assert keys.dtype == np.uint64 and keys.shape == (n, 4)
-    expected = np.array([
-        np.random.SFC64(np.random.SeedSequence(
-            entropy=seed, spawn_key=(rng.DOMAIN_CONSTRUCT, iteration, s)))
-        .state["state"]["state"] for s in range(n)])
-    assert keys.tobytes() == expected.tobytes()
-
-
-@given(st.one_of(_EDGE_SEEDS, st.integers(0, 2**64 - 1)), st.integers(0, 2**40 - 1),
        st.integers(1, 8), st.integers(2, 40), st.data())
-@settings(max_examples=40, deadline=None)
-def test_step_blocks_are_the_keyed_streams(seed, iteration, m, n, data):
-    keys = rng.step_keys(seed, iteration, n)
+@settings(max_examples=60, deadline=None)
+def test_construction_draws_are_the_keyed_philox_stream(seed, iteration, m, n, data):
+    # numpy's own Philox, keyed by (seed, DOMAIN_CONSTRUCT, iteration): its
+    # first n rows of three raw words set each step's SFC64, and its next
+    # integers() are the start cities
+    philox = np.random.Philox(np.random.SeedSequence(
+        entropy=seed, spawn_key=(rng.DOMAIN_CONSTRUCT, iteration)))
+    words = philox.random_raw((n, 3))
+    expected_starts = np.random.Generator(philox).integers(0, n, m)
+    starts, keys = rng.construction_draws(seed, iteration, m, n)
+    assert keys.dtype == np.uint64 and keys.shape == (n, 4)
+    assert starts.tobytes() == expected_starts.tobytes()
+    # row s of the states is the same for any colony size and any later step
+    wider = rng.construction_draws(seed, iteration, m + 1, 2 * n)[1]
+    assert wider[:n].tobytes() == keys.tobytes()
     # draw out of order, so a left-over generator state would show
     for step in data.draw(st.permutations(range(1, n)))[:5]:
-        direct = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
-            entropy=seed, spawn_key=(rng.DOMAIN_CONSTRUCT, iteration, step))))
+        direct = np.random.Generator(np.random.SFC64())
+        direct.bit_generator.state = {
+            "bit_generator": "SFC64",
+            "state": {"state": np.array([*words[step], 1], dtype=np.uint64)},
+            "has_uint32": 0, "uinteger": 0}
         e = rng.step_exponentials(keys, step, m, n)
         assert e.tobytes() == direct.standard_exponential((m, n)).tobytes()
         # drawn into a caller's block: the same bits, in that block
@@ -62,21 +64,22 @@ def test_step_blocks_are_the_keyed_streams(seed, iteration, m, n, data):
         assert buf.tobytes() == e.tobytes()
 
 
-def test_step_keys_reject_negative_inputs():
+def test_construction_draws_reject_negative_inputs():
     with pytest.raises(ValueError):
-        rng.step_keys(-1, 0, 4)
+        rng.construction_draws(-1, 0, 3, 4)
     with pytest.raises(ValueError):
-        rng.step_keys(0, -1, 4)
+        rng.construction_draws(0, -1, 3, 4)
 
 
 def test_step_exponentials_shape_and_determinism():
-    keys = rng.step_keys(1, 5, 9)
+    _, keys = rng.construction_draws(1, 5, 6, 9)
     e1 = rng.step_exponentials(keys, 2, 6, 9)
     e2 = rng.step_exponentials(keys, 2, 6, 9)
     assert e1.shape == (6, 9)
     assert np.array_equal(e1, e2)
     # different iteration or step decorrelates
-    assert not np.array_equal(e1, rng.step_exponentials(rng.step_keys(1, 6, 9), 2, 6, 9))
+    _, other = rng.construction_draws(1, 6, 6, 9)
+    assert not np.array_equal(e1, rng.step_exponentials(other, 2, 6, 9))
     assert not np.array_equal(e1, rng.step_exponentials(keys, 3, 6, 9))
     for shape in ((9, 6), (6, 8), (6 * 9,)):
         with pytest.raises(ValueError):
@@ -84,7 +87,7 @@ def test_step_exponentials_shape_and_determinism():
 
 
 def test_step_uniforms_are_the_blocks_first_column():
-    keys = rng.step_keys(3, 0, 50)
+    _, keys = rng.construction_draws(3, 0, 1000, 50)
     u = rng.step_uniforms(keys, 1, 1000, 50)
     assert u.shape == (1000,)
     assert np.all(u > 0.0) and np.all(u <= 1.0)
@@ -102,7 +105,7 @@ def colony_step_draws():
     """The draws of one construction at (m, n) = (50, 200), seed 0,
     iteration 0: the Exp(1) blocks and the wheel thresholds of steps 1..199."""
     m, n = 50, 200
-    keys = rng.step_keys(0, 0, n)
+    _, keys = rng.construction_draws(0, 0, m, n)
     steps = range(1, n)
     return {
         "exponentials": np.stack([rng.step_exponentials(keys, s, m, n) for s in steps]),
@@ -124,7 +127,7 @@ def test_colony_step_draws_are_distributed(colony_step_draws, draw, cdf):
 
 def test_exponentials_are_positive():
     # log-domain selection needs strictly positive deviates: e^-E < 1
-    e = rng.step_exponentials(rng.step_keys(3, 0, 100), 1, 100, 100)
+    e = rng.step_exponentials(rng.construction_draws(3, 0, 100, 100)[1], 1, 100, 100)
     assert np.all(e > 0.0)
 
 
@@ -137,12 +140,11 @@ def test_start_cities_cover_range():
 
 
 def test_start_cities_deterministic_and_in_range():
-    # the draw is the first integers() call on the (seed, START, iteration) stream
+    # the starts of the iteration's construction draws
     s1 = rng.start_cities(3, 0, 64, 7)
     assert np.array_equal(s1, rng.start_cities(3, 0, 64, 7))
     assert s1.min() >= 0 and s1.max() < 7
-    direct = rng.stream(3, rng.DOMAIN_START, 0).integers(0, 7, size=64, dtype=np.int64)
-    assert np.array_equal(s1, direct)
+    assert np.array_equal(s1, rng.construction_draws(3, 0, 64, 7)[0])
 
 
 def test_mc_stream_blocks_are_independent():
@@ -153,4 +155,4 @@ def test_mc_stream_blocks_are_independent():
 
 
 def test_domains_are_distinct_constants():
-    assert len({rng.DOMAIN_CONSTRUCT, rng.DOMAIN_START, rng.DOMAIN_MC}) == 3
+    assert rng.DOMAIN_CONSTRUCT != rng.DOMAIN_MC
