@@ -31,24 +31,41 @@ def test_distinct_keys_distinct_streams():
 _EDGE_SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1])
 
 
-@given(st.one_of(_EDGE_SEEDS, st.integers(0, 2**64 - 1)),
-       st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]), st.integers(0, 2**40 - 1)),
-       st.integers(1, 8), st.integers(2, 40), st.data())
-@settings(max_examples=60, deadline=None)
-def test_construction_draws_are_the_keyed_philox_stream(seed, iteration, m, n, data):
-    # numpy's own Philox, keyed by (seed, DOMAIN_CONSTRUCT, iteration): its
-    # first n rows of three raw words set each step's SFC64, and its next
-    # integers() are the start cities
-    philox = np.random.Philox(np.random.SeedSequence(
+def _keyed_philox(seed, iteration):
+    """numpy's own Philox, keyed by (seed, DOMAIN_CONSTRUCT, iteration)."""
+    return np.random.Philox(np.random.SeedSequence(
         entropy=seed, spawn_key=(rng.DOMAIN_CONSTRUCT, iteration)))
+
+
+_ITERATIONS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]), st.integers(0, 2**40 - 1))
+
+
+@given(st.one_of(_EDGE_SEEDS, st.integers(0, 2**64 - 1)), _ITERATIONS,
+       st.integers(1, 8), st.integers(2, 40))
+@settings(max_examples=60, deadline=None)
+def test_step_keys_are_seed_sequence_keys(seed, iteration, m, n):
+    # the SeedSequence-keyed Philox's first n rows of three raw words set
+    # each step's SFC64 (counter word 1), and its next integers() are the
+    # start cities
+    philox = _keyed_philox(seed, iteration)
     words = philox.random_raw((n, 3))
     expected_starts = np.random.Generator(philox).integers(0, n, m)
     starts, keys = rng.construction_draws(seed, iteration, m, n)
     assert keys.dtype == np.uint64 and keys.shape == (n, 4)
+    expected = np.column_stack([words, np.ones(n, dtype=np.uint64)])
+    assert keys.tobytes() == expected.tobytes()
     assert starts.tobytes() == expected_starts.tobytes()
     # row s of the states is the same for any colony size and any later step
     wider = rng.construction_draws(seed, iteration, m + 1, 2 * n)[1]
     assert wider[:n].tobytes() == keys.tobytes()
+
+
+@given(st.one_of(_EDGE_SEEDS, st.integers(0, 2**64 - 1)), _ITERATIONS,
+       st.integers(1, 8), st.integers(2, 40), st.data())
+@settings(max_examples=40, deadline=None)
+def test_step_blocks_are_the_keyed_streams(seed, iteration, m, n, data):
+    words = _keyed_philox(seed, iteration).random_raw((n, 3))
+    keys = rng.construction_draws(seed, iteration, m, n)[1]
     # draw out of order, so a left-over generator state would show
     for step in data.draw(st.permutations(range(1, n)))[:5]:
         direct = np.random.Generator(np.random.SFC64())
