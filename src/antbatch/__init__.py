@@ -41,8 +41,6 @@ from .model import (
     TspInstance,
     batch_costs,
     build_instance,
-    euclidean_instance,
-    tour_cost,
 )
 from .pheromone import (
     accumulate_increments,
@@ -88,7 +86,6 @@ __all__ = [
     "build_instance",
     "compute_probability_matrix",
     "construct_tours",
-    "euclidean_instance",
     "gamma_at",
     "iterate",
     "load_instance",
@@ -100,5 +97,4 @@ __all__ = [
     "run_scaling_study",
     "select_elite",
     "serialize_instance",
-    "tour_cost",
 ]

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import os
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -33,6 +35,7 @@ from .model import (
     PheromoneState,
     Selection,
     TspInstance,
+    _integer,
     build_instance,
 )
 from .oracle import empirical_selection_distribution, sequential_aco_step
@@ -68,7 +71,8 @@ class ExperimentConfig:
 
     ``instance_path`` names the TSPLIB file the experiment reads. When
     time_limit_seconds is set it governs termination and max_iters acts as
-    a cap; otherwise max_iters governs.
+    a cap; otherwise max_iters governs. ``repetitions`` is an integer,
+    stored as int, and ``best_known``, when given, a finite length > 0.
     """
 
     params: AcoParams
@@ -81,9 +85,13 @@ class ExperimentConfig:
     lenient: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "repetitions", _integer("repetitions", self.repetitions))
         _check_repetitions(self.params.seed, self.repetitions)
-        if self.time_limit_seconds is not None and self.time_limit_seconds <= 0:
+        if self.time_limit_seconds is not None and not self.time_limit_seconds > 0:
             raise ValueError("time_limit_seconds must be positive")
+        bk = self.best_known
+        if bk is not None and not (isinstance(bk, numbers.Real) and 0 < bk < math.inf):
+            raise ValueError(f"best_known must be a finite number > 0, got {bk!r}")
 
 
 @dataclass(frozen=True)
@@ -146,12 +154,11 @@ def make_synthetic_instance(n: int, seed: int = 0, kind: str = "clustered",
     )
 
 
-def load_instance(config: ExperimentConfig, raw: RawTspFile | None = None) -> TspInstance:
-    """Build the instance file that ``config`` names, parsing it unless
-    ``raw`` is that file already parsed."""
-    if raw is None:
-        with open(config.instance_path, "r", encoding="utf-8") as f:
-            raw = parse_instance(f.read())
+def load_instance(config: ExperimentConfig) -> TspInstance:
+    """Parse the instance file that ``config`` names and build it with the
+    config's ``best_known`` and ``lenient``."""
+    with open(config.instance_path, "r", encoding="utf-8") as f:
+        raw = parse_instance(f.read())
     return build_instance(raw, best_known=config.best_known, lenient=config.lenient)
 
 
@@ -344,7 +351,8 @@ def run_probability_shift_study(inst: TspInstance, params: AcoParams,
         gamma = gamma_at(it, params.gamma_schedule)
         # ant 0's row at its start city: the diagonal is already zero, so
         # this is the row masked to the unvisited cities
-        row = prob.p[rng.start_cities(params.seed, it, params.m, inst.n)[0]]
+        starts, _ = rng.construction_draws(params.seed, it, params.m, inst.n)
+        row = prob.p[starts[0]]
         row = row / row.sum()
         target = int(np.argmax(row))
         freq = empirical_selection_distribution(Selection.ADAIR, row, gamma, trials,

@@ -23,7 +23,6 @@ from .bench import (
     SCALING_COLUMNS,
     SHIFT_COLUMNS,
     config_from_dict,
-    load_instance,
     median_outcomes,
     run_experiment,
     run_probability_shift_study,
@@ -32,7 +31,7 @@ from .bench import (
     write_dict_csv,
     write_records_csv,
 )
-from .model import AcoParams, GammaSchedule, Selection, TspInstance
+from .model import AcoParams, GammaSchedule, Selection, TspInstance, build_instance
 from .tsplib import RawTspFile, parse_instance
 
 # Time-limited runs still need an iteration cap for record bookkeeping.
@@ -192,12 +191,13 @@ def _memory_limit() -> tuple[int, str]:
     return min(limits)
 
 
-def _load(config: ExperimentConfig, raw: RawTspFile) -> TspInstance:
-    """``load_instance`` of ``raw``, the parsed file that ``config`` names,
-    after checking from its DIMENSION and the colony size that the run's
-    arrays can fit in memory at all; ValueError naming both sizes
-    otherwise, before anything is allocated."""
-    n, m = raw.dimension, config.params.m
+def _load(raw: RawTspFile, m: int, best_known: float | None = None,
+          lenient: bool = False) -> TspInstance:
+    """``build_instance`` of the parsed file ``raw``, after checking from its
+    DIMENSION and the colony size m that a run's arrays can fit in memory
+    at all; ValueError naming both sizes otherwise, before anything is
+    allocated."""
+    n = raw.dimension
     need = _resident_bytes(n, m)
     limit, what = _memory_limit()
     if need > limit:
@@ -205,7 +205,7 @@ def _load(config: ExperimentConfig, raw: RawTspFile) -> TspInstance:
             f"a run on n = {n} cities with m = {m} ants needs about "
             f"{need / 2**30:.1f} GiB of arrays, more than {what} "
             f"({limit / 2**30:.1f} GiB)")
-    return load_instance(config, raw)
+    return build_instance(raw, best_known=best_known, lenient=lenient)
 
 
 def _run_and_write(config: ExperimentConfig, inst: TspInstance) -> tuple[list, list]:
@@ -240,7 +240,8 @@ def _cmd_solve(args) -> int:
     config = replace(base, params=_overlay(args, base.params),
                      lenient=args.lenient or base.lenient, **_given(args, _CONFIG_FLAGS))
 
-    records, summaries = _run_and_write(config, _load(config, raw))
+    inst = _load(raw, config.params.m, config.best_known, config.lenient)
+    records, summaries = _run_and_write(config, inst)
     if config.output_path:
         best = min(s.final_best_cost for s in summaries)
         err = min((s.solution_error_percent for s in summaries
@@ -257,11 +258,8 @@ def _cmd_scaling(args) -> int:
     sizes = [int(tok) for tok in args.ants.split(",") if tok.strip()]
     if not sizes:
         raise ValueError("--ants needs at least one colony size")
-    instances = []
-    for path in args.instances:
-        cfg = ExperimentConfig(params=AcoParams(m=max(sizes), k=1), instance_path=path,
-                               lenient=args.lenient)
-        instances.append(_load(cfg, _read(path)))
+    instances = [_load(_read(path), max(sizes), lenient=args.lenient)
+                 for path in args.instances]
     rows = run_scaling_study(
         instances, sizes, args.mode, iterations=args.iterations,
         repetitions=args.reps, seed=args.seed,
@@ -272,9 +270,7 @@ def _cmd_scaling(args) -> int:
 def _cmd_shift(args) -> int:
     raw = _read(args.instance)
     params = _overlay(args, _default_params(args, args.iters, raw.dimension))
-    cfg = ExperimentConfig(params=params, instance_path=args.instance,
-                           lenient=args.lenient)
-    inst = _load(cfg, raw)
+    inst = _load(raw, params.m, lenient=args.lenient)
     rows = run_probability_shift_study(inst, params, args.iters,
                                        trials=args.trials)
     return _write_rows(rows, SHIFT_COLUMNS, args.out)
@@ -283,8 +279,7 @@ def _cmd_shift(args) -> int:
 def _cmd_convergence(args) -> int:
     raw = _read(args.instance)
     base = _overlay(args, _default_params(args, args.iters, raw.dimension))
-    inst = _load(ExperimentConfig(params=base, instance_path=args.instance,
-                                  best_known=args.best_known, lenient=args.lenient), raw)
+    inst = _load(raw, base.m, args.best_known, args.lenient)
     report = []
     for mech in (Selection.RW, Selection.IR, Selection.ADAIR):
         params = replace(base, selection=mech)

@@ -13,6 +13,7 @@ which spares an (n, n) copy of tau and of p per iteration.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,23 @@ def _adopt(cls, **values):
     return obj
 
 
+class _NotAnInteger(ValueError, TypeError):
+    """A field that must be an integer holds another type: a structured
+    error (ValueError) that is also the TypeError a wrong type raises, so a
+    config loader reports it as a bad value."""
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int. Python and numpy integers pass; a bool, a float,
+    a string or any other value raises an error naming the field ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise _NotAnInteger(f"{name} must be an integer, got {value!r}")
+
+
 def _check_city_count(n: int) -> None:
     if n < 3:
         raise DegenerateInstance(f"need at least 3 cities, got {n}")
@@ -102,8 +120,18 @@ class TspInstance:
         object.__setattr__(self, "eta", _frozen(self.eta, np.float64))
 
 
-def _instance_from_dist(dist: np.ndarray, best_known: float | None, name: str,
-                        lenient: bool) -> TspInstance:
+def build_instance(raw: RawTspFile, best_known: float | None = None,
+                   lenient: bool = False) -> TspInstance:
+    """Build a TspInstance from a parsed .tsp file.
+
+    Distances follow the file's edge-weight convention (integer-valued,
+    exact in float64). When two cities coincide, raises DegenerateInstance
+    unless ``lenient``, in which case eta uses a clamped distance of 1e-10.
+    If ``best_known`` is None the bundled optima table is consulted by name.
+    """
+    dist = distance_matrix([(x, y) for _, x, y in raw.node_coords], raw.edge_weight_type)
+    if best_known is None:
+        best_known = BEST_KNOWN.get(raw.name)
     n = dist.shape[0]
     _check_city_count(n)
     off = ~np.eye(n, dtype=bool)
@@ -118,35 +146,7 @@ def _instance_from_dist(dist: np.ndarray, best_known: float | None, name: str,
         safe = dist
     eta = np.zeros_like(dist)
     np.divide(1.0, safe, out=eta, where=off)
-    return _adopt(TspInstance, n=n, dist=dist, eta=eta, best_known=best_known, name=name)
-
-
-def build_instance(raw: RawTspFile, best_known: float | None = None,
-                   lenient: bool = False) -> TspInstance:
-    """Build a TspInstance from a parsed .tsp file.
-
-    Distances follow the file's edge-weight convention (integer-valued,
-    exact in float64). When two cities coincide, raises DegenerateInstance
-    unless ``lenient``, in which case eta uses a clamped distance of 1e-10.
-    If ``best_known`` is None the bundled optima table is consulted by name.
-    """
-    dist = distance_matrix([(x, y) for _, x, y in raw.node_coords], raw.edge_weight_type)
-    if best_known is None:
-        best_known = BEST_KNOWN.get(raw.name)
-    return _instance_from_dist(dist, best_known, raw.name, lenient)
-
-
-def euclidean_instance(coords, best_known: float | None = None, name: str = "",
-                       lenient: bool = False) -> TspInstance:
-    """Instance with exact (unrounded) Euclidean distances.
-
-    For synthetic geometry where integer rounding would collapse distinct
-    edge lengths; TSPLIB files go through build_instance instead.
-    """
-    pts = np.asarray(coords, dtype=np.float64)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    return _instance_from_dist(dist, best_known, name, lenient)
+    return _adopt(TspInstance, n=n, dist=dist, eta=eta, best_known=best_known, name=raw.name)
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,9 @@ class AcoParams:
     alpha and beta weight pheromone and heuristic in the transition matrix;
     rho is the evaporation rate; m the ant count; k the elite count whose
     tours deposit pheromone; q0_tau the uniform initial pheromone level.
-    ``seed`` keys every random stream of a run.
+    ``seed`` keys every random stream of a run. m, k, max_iters and seed
+    are integers, stored as int; a bool, float or string in one of them
+    raises ValueError naming it.
     """
 
     m: int
@@ -199,6 +201,8 @@ class AcoParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("m", "k", "max_iters", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if not 1 <= self.k <= self.m:
@@ -288,14 +292,8 @@ def _check_permutation(tour: np.ndarray, n: int) -> None:
     raise InvalidPermutation(f"not a permutation of 0..{n - 1}: {detail}")
 
 
-def tour_cost(tour, inst: TspInstance) -> float:
-    """Closed-tour length: consecutive edges plus the edge back to the start."""
-    t = np.asarray(tour, dtype=np.int64)
-    _check_permutation(t, inst.n)
-    return float(inst.dist[t, np.roll(t, -1)].sum())
-
-
 def batch_costs(tours: np.ndarray, inst: TspInstance) -> np.ndarray:
-    """Vectorized tour_cost over the rows of an (m, n) tour array."""
+    """Closed-tour lengths of the rows of an (m, n) tour array: each row's
+    consecutive edges plus the edge back to its start."""
     closed = np.roll(tours, -1, axis=1)
     return inst.dist[tours, closed].sum(axis=1)

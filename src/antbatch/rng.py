@@ -119,12 +119,6 @@ def step_uniforms(keys: np.ndarray, step: int, m: int, n: int,
     return np.exp(-step_exponentials(keys, step, m, n, out)[:, 0])
 
 
-def start_cities(seed: int, iteration: int, m: int, n: int) -> np.ndarray:
-    """Uniform start city per ant, shape (m,), values in [0, n): the
-    starts of ``construction_draws``."""
-    return construction_draws(seed, iteration, m, n)[0]
-
-
 def mc_stream(seed: int, block: int) -> np.random.Generator:
     """Generator for Monte-Carlo estimation, keyed by trial block index."""
     return stream(seed, DOMAIN_MC, block)

@@ -159,24 +159,3 @@ def argmax_select_block(table: np.ndarray, current: np.ndarray, deviates: np.nda
     np.subtract(scratch, deviates, out=scratch)
     return scratch.argmax(axis=1)
 
-
-def transformed_deviate_pdf(y: float, gamma: float) -> float:
-    """Density of Y = X**gamma for X uniform on (0,1): (1/gamma) y^((1-gamma)/gamma).
-
-    Zero outside the open interval (0, 1). For gamma > 1 the density
-    diverges at 0 and the mass shifts toward small values (median
-    (1/2)**gamma < 1/2), which is what makes large gamma exploratory.
-    """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    if not 0.0 < y < 1.0:
-        return 0.0
-    return (1.0 / gamma) * y ** ((1.0 - gamma) / gamma)
-
-
-def sample_transformed_deviates(gamma: float, size: int,
-                                rng_stream: np.random.Generator) -> np.ndarray:
-    """Draw Y = X**gamma (X uniform on (0,1)) as exp(-gamma * E), E ~ Exp(1)."""
-    if not gamma > 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    return np.exp(-gamma * rng_stream.standard_exponential(size))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from antbatch.bench import make_synthetic_instance
-from antbatch.model import AcoParams, TspInstance, build_instance, euclidean_instance
+from antbatch.model import AcoParams, TspInstance, _check_permutation, build_instance
 from antbatch.tsplib import RawTspFile, parse_instance, serialize_instance
 
 HERE = os.path.dirname(__file__)
@@ -20,6 +20,54 @@ def read_fixture(name: str) -> str:
 def load_bundled(name: str) -> TspInstance:
     with open(os.path.join(PKG_DATA, name), "r", encoding="utf-8") as f:
         return build_instance(parse_instance(f.read()))
+
+
+def euclidean_instance(coords) -> TspInstance:
+    """Instance with exact (unrounded) Euclidean distances.
+
+    For synthetic geometry where integer rounding would collapse distinct
+    edge lengths; TSPLIB files go through build_instance instead.
+    """
+    pts = np.asarray(coords, dtype=np.float64)
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    off = ~np.eye(len(pts), dtype=bool)
+    eta = np.zeros_like(dist)
+    np.divide(1.0, dist, out=eta, where=off)
+    return TspInstance(len(pts), dist, eta)
+
+
+def tour_cost(tour, inst: TspInstance) -> float:
+    """Closed-tour length: consecutive edges plus the edge back to the start.
+
+    A scalar reference for ``batch_costs``; raises InvalidPermutation
+    unless ``tour`` is a permutation of the instance's cities.
+    """
+    t = np.asarray(tour, dtype=np.int64)
+    _check_permutation(t, inst.n)
+    return float(inst.dist[t, np.roll(t, -1)].sum())
+
+
+def transformed_deviate_pdf(y: float, gamma: float) -> float:
+    """Density of Y = X**gamma for X uniform on (0,1): (1/gamma) y^((1-gamma)/gamma).
+
+    Zero outside the open interval (0, 1). For gamma > 1 the density
+    diverges at 0 and the mass shifts toward small values (median
+    (1/2)**gamma < 1/2), which is what makes large gamma exploratory.
+    """
+    if not gamma > 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not 0.0 < y < 1.0:
+        return 0.0
+    return (1.0 / gamma) * y ** ((1.0 - gamma) / gamma)
+
+
+def sample_transformed_deviates(gamma: float, size: int,
+                                rng_stream: np.random.Generator) -> np.ndarray:
+    """Draw Y = X**gamma (X uniform on (0,1)) as exp(-gamma * E), E ~ Exp(1)."""
+    if not gamma > 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
+    return np.exp(-gamma * rng_stream.standard_exponential(size))
 
 
 def random_metric_instance(rng: np.random.Generator, n: int,

@@ -26,7 +26,6 @@ from antbatch.model import (
     Selection,
     TAU_MIN,
     build_instance,
-    euclidean_instance,
 )
 from antbatch.oracle import (
     brute_force_tsp,
@@ -36,7 +35,6 @@ from antbatch.oracle import (
     sequential_increment_sum,
 )
 from antbatch.pheromone import accumulate_increments, apply_update, select_elite
-from antbatch.selection import sample_transformed_deviates
 from antbatch.tsplib import (
     DimensionMismatch,
     DuplicateNodeId,
@@ -49,7 +47,14 @@ from antbatch.tsplib import (
     serialize_instance,
 )
 
-from conftest import PKG_DATA, load_bundled, random_metric_instance, read_fixture
+from conftest import (
+    PKG_DATA,
+    euclidean_instance,
+    load_bundled,
+    random_metric_instance,
+    read_fixture,
+    sample_transformed_deviates,
+)
 
 # Frozen during calibration of the bundled rnd120 instance: best tour length
 # found across long multi-mechanism runs. Serves as the error denominator;

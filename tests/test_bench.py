@@ -125,6 +125,31 @@ def test_config_from_dict_names_the_bad_key(edit, named, rnd10):
         config_from_dict(d)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m", 4.0), ("k", 1.0), ("max_iters", 2.0), ("seed", 1.5), ("seed", True),
+    ("seed", "0"), ("repetitions", 1.0), ("repetitions", np.True_),
+    ("best_known", "5"), ("best_known", float("nan")), ("best_known", float("inf")),
+    ("best_known", 0.0), ("time_limit_seconds", float("nan")),
+])
+def test_config_rejects_a_mistyped_or_non_finite_value(field, value, rnd10):
+    # each of these used to pass validation and end in a traceback mid-run,
+    # or, for a NaN time limit, run to the iteration cap
+    params = {"m": 4, "k": 1, "max_iters": 2, "seed": 0}
+    rest = {}
+    (params if field in params else rest)[field] = value
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        tiny_config(rnd10, params=AcoParams(**params), **rest)
+
+
+def test_integer_fields_take_numpy_integers_as_int(rnd10):
+    cfg = tiny_config(rnd10, params=AcoParams(m=np.int32(4), k=np.int64(1),
+                                              max_iters=np.uint8(2), seed=np.uint64(2**63)),
+                      repetitions=np.int16(2))
+    assert [type(v) for v in (cfg.params.m, cfg.params.k, cfg.params.max_iters,
+                              cfg.params.seed, cfg.repetitions)] == [int] * 5
+    assert cfg.params.seed == 2**63
+
+
 def test_config_rejects_repetitions_past_the_largest_seed(rnd10):
     d = json.loads(json.dumps(config_to_dict(tiny_config(
         rnd10, params=AcoParams(m=4, k=1, seed=2**64 - 1)))))
@@ -342,7 +367,7 @@ def test_shift_study_rows_and_gamma_one_matches_ir_probability():
     # independent-roulette win probability of its argmax city
     tau = PheromoneState.initial(inst.n, params.q0_tau)
     prob = compute_probability_matrix(tau, inst, params)
-    start = int(rng.start_cities(params.seed, 0, params.m, inst.n)[0])
+    start = int(rng.construction_draws(params.seed, 0, params.m, inst.n)[0][0])
     row = prob.p[start].copy()
     row[start] = 0.0
     row /= row.sum()
@@ -376,7 +401,7 @@ def test_shift_study_estimates_through_the_oracle():
     tau = PheromoneState.initial(inst.n, params.q0_tau)
     prob = compute_probability_matrix(tau, inst, params)
     for it, r in enumerate(rows):
-        row = prob.p[rng.start_cities(params.seed, it, params.m, inst.n)[0]]
+        row = prob.p[rng.construction_draws(params.seed, it, params.m, inst.n)[0][0]]
         row = row / row.sum()
         freq = empirical_selection_distribution(Selection.ADAIR, row, r["gamma"], 1500,
                                                 seed=params.seed)

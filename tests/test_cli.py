@@ -139,6 +139,19 @@ def test_config_with_unknown_key_is_one_line_error(inst_path, tmp_path, capsys):
     assert err == "antbatch: error: unknown config key 'chunk_size'\n"
 
 
+def test_config_with_a_fractional_seed_is_one_line_error(inst_path, tmp_path, capsys):
+    d = config_to_dict(ExperimentConfig(params=AcoParams(m=5, k=1),
+                                        instance_path=inst_path))
+    d["params"]["seed"] = 1.5
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump(d, f)
+    rc = main(["solve", "--config", cfg_path, "--iters", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "antbatch: error: bad config value: seed must be an integer, got 1.5\n"
+
+
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
 def test_high_beta_underflow_is_one_line_error(optimize):
     # beta = 120 underflows tau^alpha * eta^beta to zero for every unvisited
@@ -188,9 +201,9 @@ _NO_MEMORY = ("Unable to allocate 2.98 GiB for an array with shape (20000, 20000
               "and data type float64")
 
 
-@pytest.mark.parametrize("target", ["antbatch.cli.load_instance", "antbatch.bench.iterate"])
+@pytest.mark.parametrize("target", ["antbatch.cli.build_instance", "antbatch.bench.iterate"])
 def test_out_of_memory_is_one_line_error(target, inst_path, tmp_path, capsys, monkeypatch):
-    # an instance (load_instance) or colony (iterate) too large for memory
+    # an instance (build_instance) or colony (iterate) too large for memory
     # ends in one line and exit 2, not in a traceback
     def exhausted(*args, **kwargs):
         raise MemoryError(_NO_MEMORY)
@@ -213,8 +226,8 @@ _TOO_LARGE = ("antbatch: error: a run on n = 12 cities with m = 5000000 ants nee
               "about 3.4 GiB of arrays, more than {what} (1.0 GiB)\n")
 
 
-def _never_loaded(config):
-    raise AssertionError(f"{config.instance_path} was loaded")
+def _never_loaded(raw, **kwargs):
+    raise AssertionError(f"{raw.name} was loaded")
 
 
 @pytest.mark.parametrize("command", list(_TOO_MANY_ANTS))
@@ -225,7 +238,7 @@ def test_run_too_large_for_the_address_space_limit_exits_before_loading(
     real = resource.getrlimit
     monkeypatch.setattr(resource, "getrlimit", lambda which: (
         (1 << 30, resource.RLIM_INFINITY) if which == resource.RLIMIT_AS else real(which)))
-    monkeypatch.setattr("antbatch.cli.load_instance", _never_loaded)
+    monkeypatch.setattr("antbatch.cli.build_instance", _never_loaded)
     rc = main([arg.format(inst=inst_path) for arg in _TOO_MANY_ANTS[command]])
     assert rc == 2
     assert capsys.readouterr().err == _TOO_LARGE.format(what="the address-space limit")
@@ -239,7 +252,7 @@ def test_run_too_large_for_physical_memory_exits_before_loading(inst_path, capsy
                         lambda name: pages if name == "SC_PHYS_PAGES" else real(name))
     monkeypatch.setattr(resource, "getrlimit", lambda which: (
         resource.RLIM_INFINITY, resource.RLIM_INFINITY))
-    monkeypatch.setattr("antbatch.cli.load_instance", _never_loaded)
+    monkeypatch.setattr("antbatch.cli.build_instance", _never_loaded)
     rc = main(["solve", inst_path, "--ants", "5000000", "--iters", "1"])
     assert rc == 2
     assert capsys.readouterr().err == _TOO_LARGE.format(what="physical memory")

@@ -22,13 +22,12 @@ from antbatch.model import (
     Selection,
     batch_costs,
     build_instance,
-    tour_cost,
 )
 from antbatch.oracle import sequential_aco_step
 from antbatch.pheromone import accumulate_increments, apply_update, select_elite
 from antbatch.selection import AllZeroWeights, gamma_at, scaled_log_weights
 
-from conftest import random_metric_instance
+from conftest import random_metric_instance, tour_cost
 
 
 def make(n, seed=0):
@@ -227,7 +226,7 @@ def test_tours_start_at_keyed_start_cities():
     params = params_for(inst, Selection.IR, m=6, seed=21)
     p = compute_probability_matrix(PheromoneState.initial(9, 1.0), inst, params)
     batch = construct_tours(p, inst, params, iteration=5)
-    starts = rng.start_cities(21, 5, 6, 9)
+    starts = rng.construction_draws(21, 5, 6, 9)[0]
     assert np.array_equal(batch.tours[:, 0], starts)
 
 
@@ -271,7 +270,7 @@ def test_all_zero_weights_raise_while_city_zero_is_unvisited(mech):
         p[i, i + 1] = 1.0
     p[5, 1] = 1.0
     params = params_for(inst, mech, m=4, seed=3)
-    starts = rng.start_cities(3, 0, 4, 6)
+    starts = rng.construction_draws(3, 0, 4, 6)[0]
     a = int(np.flatnonzero(starts != 0)[0])
     with pytest.raises(AllZeroWeights, match=rf"^ant {a} has no unvisited city .* step 5:"):
         construct_tours(ProbabilityMatrix(p=p), inst, params, iteration=0)

@@ -95,3 +95,38 @@ def test_only_model_adopts_arrays():
               f"{path.name}:<module>")
     assert owners == {("writeable", "model.py:_frozen"), ("writeable", "model.py:_adopt"),
                       ("__new__", "model.py:_adopt")}
+
+
+# the oracle's reference implementations exist for the tests to compare
+# against, so no run calls them
+_TEST_ONLY_MODULES = {"oracle"}
+# the parser acceptance gate holds the package to TSPLIB's tour format
+# through parse_tour, which no run reads
+_TEST_ONLY_NAMES = {"tsplib.parse_tour"}
+
+
+def test_every_public_name_serves_a_run():
+    # a public function or class of the package is referenced by the
+    # package itself, by scripts/ or by perfbench/; one that only tests
+    # call belongs in the tests (docstrings and __init__'s re-exports do
+    # not count as references)
+    package = Path(antbatch.__file__).parent
+    root = Path(__file__).resolve().parents[1]
+    sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    sources += sorted((root / "scripts").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    used = set()
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem in ("__init__", *_TEST_ONLY_MODULES):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in used
+                    and f"{path.stem}.{node.name}" not in _TEST_ONLY_NAMES):
+                found.append(f"{path.stem}.{node.name}")
+    assert found == []

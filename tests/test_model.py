@@ -17,12 +17,10 @@ from antbatch.model import (
     TspInstance,
     batch_costs,
     build_instance,
-    euclidean_instance,
-    tour_cost,
 )
 from antbatch.tsplib import parse_instance
 
-from conftest import DATA, PKG_DATA, random_metric_instance
+from conftest import DATA, PKG_DATA, euclidean_instance, random_metric_instance, tour_cost
 
 
 def test_build_instance_distances_and_eta(square5):

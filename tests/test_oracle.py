@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from antbatch.colony import compute_probability_matrix, iterate
-from antbatch.model import (
-    AcoParams,
-    PheromoneState,
-    Selection,
-    euclidean_instance,
-    tour_cost,
-)
+from antbatch.model import AcoParams, PheromoneState, Selection
 from antbatch.oracle import (
     InstanceTooLarge,
     brute_force_tsp,
@@ -22,7 +16,7 @@ from antbatch.oracle import (
 from antbatch.pheromone import accumulate_increments
 from antbatch.selection import AllZeroWeights
 
-from conftest import random_metric_instance
+from conftest import euclidean_instance, random_metric_instance, tour_cost
 
 
 # brute force -----------------------------------------------------------------

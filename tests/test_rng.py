@@ -149,17 +149,17 @@ def test_exponentials_are_positive():
 
 
 def test_start_cities_cover_range():
-    s = rng.start_cities(0, 4, 5000, 7)
+    s = rng.construction_draws(0, 4, 5000, 7)[0]
     assert s.shape == (5000,)
     assert s.min() >= 0 and s.max() < 7
     assert len(np.unique(s)) == 7
-    assert np.array_equal(s, rng.start_cities(0, 4, 5000, 7))
+    assert np.array_equal(s, rng.construction_draws(0, 4, 5000, 7)[0])
 
 
 def test_start_cities_deterministic_and_in_range():
     # the starts of the iteration's construction draws
-    s1 = rng.start_cities(3, 0, 64, 7)
-    assert np.array_equal(s1, rng.start_cities(3, 0, 64, 7))
+    s1 = rng.construction_draws(3, 0, 64, 7)[0]
+    assert np.array_equal(s1, rng.construction_draws(3, 0, 64, 7)[0])
     assert s1.min() >= 0 and s1.max() < 7
     assert np.array_equal(s1, rng.construction_draws(3, 0, 64, 7)[0])
 

@@ -13,10 +13,10 @@ from antbatch.selection import (
     argmax_select_block,
     gamma_at,
     rw_spin_block,
-    sample_transformed_deviates,
     scaled_log_weights,
-    transformed_deviate_pdf,
 )
+
+from conftest import sample_transformed_deviates, transformed_deviate_pdf
 
 
 # gamma schedule --------------------------------------------------------------
