@@ -73,6 +73,8 @@ class ExperimentConfig:
     time_limit_seconds is set it governs termination and max_iters acts as
     a cap; otherwise max_iters governs. ``repetitions`` is an integer,
     stored as int, and ``best_known``, when given, a finite length > 0.
+    ``instance_path`` is a str, ``output_path`` and ``summary_path`` are
+    None or a str, and ``lenient`` is a bool.
     """
 
     params: AcoParams
@@ -92,6 +94,14 @@ class ExperimentConfig:
         bk = self.best_known
         if bk is not None and not (isinstance(bk, numbers.Real) and 0 < bk < math.inf):
             raise ValueError(f"best_known must be a finite number > 0, got {bk!r}")
+        if not isinstance(self.instance_path, str):
+            raise ValueError(f"instance_path must be a str, got {self.instance_path!r}")
+        for name in ("output_path", "summary_path"):
+            path = getattr(self, name)
+            if path is not None and not isinstance(path, str):
+                raise ValueError(f"{name} must be None or a str, got {path!r}")
+        if not isinstance(self.lenient, bool):
+            raise ValueError(f"lenient must be a bool, got {self.lenient!r}")
 
 
 @dataclass(frozen=True)

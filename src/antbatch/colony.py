@@ -25,6 +25,7 @@ import numpy as np
 
 from . import rng
 from .model import (
+    ETA_CLAMP,
     AcoParams,
     PheromoneState,
     ProbabilityMatrix,
@@ -50,17 +51,19 @@ class NumericalUnderflow(ValueError):
 
 def compute_probability_matrix(tau: PheromoneState, inst: TspInstance,
                                params: AcoParams) -> ProbabilityMatrix:
-    """Row-normalized transition matrix: tau^alpha * eta^beta, rows to 1.
+    """Row-normalized transition matrix: tau^alpha * eta^beta, rows to 1,
+    with eta = 1/max(dist, ETA_CLAMP).
 
     The diagonal is forced to zero before normalization. Raises
     NumericalUnderflow when a row's normalizer is zero or non-finite.
     """
-    # the one (n, n) array built is the result: eta^beta, times tau^alpha
-    # in place (x * y == y * x in IEEE arithmetic, and pow(x, 1) == x, so
-    # the default alpha = 1 multiplies by tau itself); overflow/underflow
+    # the one (n, n) array built is the result: eta^beta, times tau^alpha,
+    # each in place (x * y == y * x in IEEE arithmetic, and pow(x, 1) == x,
+    # so the default alpha = 1 multiplies by tau itself); overflow/underflow
     # surfaces as a structured error below, not a warning
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        p = np.power(inst.eta, params.beta)
+        p = np.maximum(inst.dist, ETA_CLAMP)
+        np.power(np.divide(1.0, p, out=p), params.beta, out=p)
         p *= tau.tau if params.alpha == 1.0 else np.power(tau.tau, params.alpha)
     np.fill_diagonal(p, 0.0)
     sums = p.sum(axis=1, keepdims=True)

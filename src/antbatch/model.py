@@ -92,32 +92,32 @@ def _check_city_count(n: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class TspInstance:
-    """A symmetric TSP instance.
+    """A symmetric TSP instance: its distances alone, from which ``n`` and
+    the heuristic eta = 1/max(dist, ETA_CLAMP) are derived where used.
 
     Attributes
     ----------
-    n : int
-        City count, at least 3.
     dist : ndarray, shape (n, n)
-        Symmetric non-negative distances with zero diagonal.
-    eta : ndarray, shape (n, n)
-        Heuristic desirability, 1/dist off the diagonal, 0 on it.
+        Symmetric non-negative distances with zero diagonal, n >= 3.
     best_known : float or None
         Reference tour length for solution-error percentages.
     name : str
         Instance name, "" when anonymous.
     """
 
-    n: int
     dist: np.ndarray
-    eta: np.ndarray
     best_known: float | None = None
     name: str = ""
 
     def __post_init__(self):
-        _check_city_count(self.n)
         object.__setattr__(self, "dist", _frozen(self.dist, np.float64))
-        object.__setattr__(self, "eta", _frozen(self.eta, np.float64))
+        if self.dist.ndim != 2 or self.n != self.dist.shape[1]:
+            raise ValueError(f"dist must be a square 2-D array, got shape {self.dist.shape}")
+        _check_city_count(self.n)
+
+    @property
+    def n(self) -> int:
+        return self.dist.shape[0]
 
 
 def build_instance(raw: RawTspFile, best_known: float | None = None,
@@ -126,27 +126,20 @@ def build_instance(raw: RawTspFile, best_known: float | None = None,
 
     Distances follow the file's edge-weight convention (integer-valued,
     exact in float64). When two cities coincide, raises DegenerateInstance
-    unless ``lenient``, in which case eta uses a clamped distance of 1e-10.
+    unless ``lenient``; the heuristic clamps their distance to ETA_CLAMP.
     If ``best_known`` is None the bundled optima table is consulted by name.
     """
     dist = distance_matrix([(x, y) for _, x, y in raw.node_coords], raw.edge_weight_type)
     if best_known is None:
         best_known = BEST_KNOWN.get(raw.name)
-    n = dist.shape[0]
-    _check_city_count(n)
-    off = ~np.eye(n, dtype=bool)
-    if np.any(dist[off] == 0.0):
-        if not lenient:
-            i, j = np.argwhere((dist == 0.0) & off)[0]
-            raise DegenerateInstance(
-                f"cities {i} and {j} are at distance 0 (duplicate coordinates)"
-            )
-        safe = np.where((dist == 0.0) & off, ETA_CLAMP, dist)
-    else:
-        safe = dist
-    eta = np.zeros_like(dist)
-    np.divide(1.0, safe, out=eta, where=off)
-    return _adopt(TspInstance, n=n, dist=dist, eta=eta, best_known=best_known, name=raw.name)
+    _check_city_count(len(dist))
+    zero = (dist == 0.0) & ~np.eye(len(dist), dtype=bool)
+    if not lenient and zero.any():
+        i, j = np.argwhere(zero)[0]
+        raise DegenerateInstance(
+            f"cities {i} and {j} are at distance 0 (duplicate coordinates)"
+        )
+    return _adopt(TspInstance, dist=dist, best_known=best_known, name=raw.name)
 
 
 @dataclass(frozen=True)
@@ -157,7 +150,8 @@ class GammaSchedule:
     t approaches the cycle length ``period``. gamma_max of 1.5 with
     gamma_min 1.0 makes the adaptive mechanism start exploratory and finish
     as plain independent roulette; values below 1 are permitted for
-    gamma_min (greedier than plain IR).
+    gamma_min (greedier than plain IR). ``period`` is an integer, stored as
+    int.
     """
 
     gamma_max: float = 1.5
@@ -173,6 +167,7 @@ class GammaSchedule:
             raise ValueError(
                 f"gamma_min {self.gamma_min} exceeds gamma_max {self.gamma_max}"
             )
+        object.__setattr__(self, "period", _integer("period", self.period))
         if self.period < 1:
             raise ValueError(f"period must be positive, got {self.period}")
 

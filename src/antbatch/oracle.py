@@ -25,6 +25,7 @@ import numpy as np
 
 from . import rng
 from .model import (
+    ETA_CLAMP,
     TAU_MIN,
     AcoParams,
     PheromoneState,
@@ -87,11 +88,11 @@ def brute_force_tsp(inst: TspInstance) -> BruteForceResult:
 
 def scalar_probability_reference(tau: PheromoneState, inst: TspInstance,
                                  params: AcoParams) -> np.ndarray:
-    """Transition matrix by scalar double loop: tau^alpha * eta^beta, row
-    normalized, zero diagonal. Independent of the vectorized version."""
+    """Transition matrix by scalar double loop: tau^alpha * eta^beta with eta
+    = 1/max(dist, ETA_CLAMP), row normalized, zero diagonal, unvectorized."""
     n = inst.n
     t = tau.tau
-    eta = inst.eta
+    d = inst.dist
     a, b = params.alpha, params.beta
     p = np.zeros((n, n))
     for i in range(n):
@@ -99,7 +100,7 @@ def scalar_probability_reference(tau: PheromoneState, inst: TspInstance,
         for j in range(n):
             if i == j:
                 continue
-            v = t[i, j] ** a * eta[i, j] ** b
+            v = t[i, j] ** a * (1.0 / np.maximum(d[i, j], ETA_CLAMP)) ** b
             p[i, j] = v
             row_sum += v
         for j in range(n):

@@ -30,11 +30,7 @@ def euclidean_instance(coords) -> TspInstance:
     """
     pts = np.asarray(coords, dtype=np.float64)
     diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    off = ~np.eye(len(pts), dtype=bool)
-    eta = np.zeros_like(dist)
-    np.divide(1.0, dist, out=eta, where=off)
-    return TspInstance(len(pts), dist, eta)
+    return TspInstance(np.sqrt((diff * diff).sum(axis=2)))
 
 
 def tour_cost(tour, inst: TspInstance) -> float:

@@ -130,6 +130,8 @@ def test_config_from_dict_names_the_bad_key(edit, named, rnd10):
     ("seed", "0"), ("repetitions", 1.0), ("repetitions", np.True_),
     ("best_known", "5"), ("best_known", float("nan")), ("best_known", float("inf")),
     ("best_known", 0.0), ("time_limit_seconds", float("nan")),
+    ("instance_path", 3), ("instance_path", ["a"]), ("instance_path", None),
+    ("output_path", 3), ("summary_path", 7), ("lenient", "false"), ("lenient", 0),
 ])
 def test_config_rejects_a_mistyped_or_non_finite_value(field, value, rnd10):
     # each of these used to pass validation and end in a traceback mid-run,

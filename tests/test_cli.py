@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from antbatch.bench import (
@@ -13,7 +14,7 @@ from antbatch.bench import (
     make_synthetic_instance,
 )
 from antbatch.cli import _resident_bytes, main
-from antbatch.colony import compute_probability_matrix, construct_tours
+from antbatch.colony import compute_probability_matrix, construct_tours, iterate
 from antbatch.model import AcoParams, PheromoneState, Selection, build_instance
 from antbatch.tsplib import parse_instance, serialize_instance
 
@@ -152,6 +153,28 @@ def test_config_with_a_fractional_seed_is_one_line_error(inst_path, tmp_path, ca
     assert err == "antbatch: error: bad config value: seed must be an integer, got 1.5\n"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["params"]["gamma_schedule"].update(period=2.5),
+     "bad config value: period must be an integer, got 2.5"),
+    (lambda d: d.update(lenient="false"), "lenient must be a bool, got 'false'"),
+    (lambda d: d.update(output_path=3), "output_path must be None or a str, got 3"),
+    (lambda d: d.update(summary_path=7), "summary_path must be None or a str, got 7"),
+    (lambda d: d.update(instance_path=["a"]), "instance_path must be a str, got ['a']"),
+], ids=["period", "lenient", "output_path", "summary_path", "instance_path"])
+def test_config_with_a_mistyped_value_is_one_line_error(edit, message, inst_path,
+                                                         tmp_path, capsys):
+    # each of these used to run with exit 0 or end in a TypeError traceback
+    d = config_to_dict(ExperimentConfig(params=AcoParams(m=5, k=1),
+                                        instance_path=inst_path))
+    edit(d)
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump(d, f)
+    rc = main(["solve", "--config", cfg_path, "--iters", "1"])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"antbatch: error: {message}\n")
+
+
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
 def test_high_beta_underflow_is_one_line_error(optimize):
     # beta = 120 underflows tau^alpha * eta^beta to zero for every unvisited
@@ -274,6 +297,35 @@ def test_construction_peak_stays_within_the_size_checks_colony_term(n, m, mech):
     finally:
         tracemalloc.stop()
     assert peak - start <= _resident_bytes(n, m) - _resident_bytes(n, 0)
+
+
+@pytest.mark.parametrize("mech", list(Selection))
+def test_a_run_peaks_within_the_size_checks_matrix_term(mech):
+    # the arrays of a run with a single ant, from the parsed file on (the
+    # load, the initial tau and p, one iteration), peak at five (n, n)
+    # arrays: the instance's dist, tau and p, and the two an iteration
+    # builds on top of them. Besides them the row normalization p /= sums
+    # takes one fixed ufunc buffer of getbufsize() elements, which the size
+    # check does not count. An untraced first run fills the caches and free
+    # lists a first call leaves behind.
+    params = AcoParams(m=1, k=1, selection=mech)
+
+    def run(raw):
+        inst = build_instance(raw)
+        tau = PheromoneState.initial(inst.n, params.q0_tau)
+        iterate(tau, compute_probability_matrix(tau, inst, params), inst, params, 0)
+        return inst.n
+
+    raw = parse_instance(read(os.path.join(PKG_DATA, "rnd442.tsp")))
+    run(raw)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        n = run(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= _resident_bytes(n, 1) + 8 * np.getbufsize()
 
 
 _PARSE_ONCE = {

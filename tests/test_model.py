@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import os
 
 import numpy as np
 import pytest
 
+from antbatch.colony import compute_probability_matrix
 from antbatch.model import (
     AcoParams,
     DegenerateInstance,
@@ -24,14 +26,19 @@ from conftest import DATA, PKG_DATA, euclidean_instance, random_metric_instance,
 
 
 def test_build_instance_distances_and_eta(square5):
-    # distances are unrounded euclidean here; eta = 1/d off-diagonal
+    # distances are unrounded euclidean here; eta = 1/d off-diagonal, so at
+    # tau = 1 and alpha = beta = 1 each row of p is 1/d normalized
     assert square5.n == 5
     assert square5.dist[0, 1] == 1.0
     assert square5.dist[0, 2] == pytest.approx(np.sqrt(2.0))
     assert np.all(np.diag(square5.dist) == 0.0)
-    assert np.all(np.diag(square5.eta) == 0.0)
+    params = AcoParams(m=1, k=1, alpha=1.0, beta=1.0)
+    p = compute_probability_matrix(PheromoneState.initial(5, 1.0), square5, params).p
+    assert np.all(np.diag(p) == 0.0)
     off = ~np.eye(5, dtype=bool)
-    assert np.allclose(square5.eta[off], 1.0 / square5.dist[off])
+    eta = np.zeros((5, 5))
+    eta[off] = 1.0 / square5.dist[off]
+    assert np.allclose(p, eta / eta.sum(axis=1, keepdims=True))
 
 
 # sha256 of build_instance(...).dist, recorded when the matrix was still
@@ -59,8 +66,6 @@ def test_build_instance_distances_pinned(path):
 def test_instance_arrays_are_frozen(square5):
     with pytest.raises(ValueError):
         square5.dist[0, 1] = 99.0
-    with pytest.raises(ValueError):
-        square5.eta[0, 1] = 99.0
 
 
 def test_public_constructors_copy_their_arrays():
@@ -68,15 +73,14 @@ def test_public_constructors_copy_their_arrays():
     # changes nothing the value holds
     g = np.random.default_rng(0)
     given = {
-        TspInstance: {"dist": g.uniform(1, 2, (4, 4)), "eta": g.uniform(1, 2, (4, 4))},
+        TspInstance: {"dist": g.uniform(1, 2, (4, 4))},
         PheromoneState: {"tau": g.uniform(1, 2, (4, 4))},
         ProbabilityMatrix: {"p": g.uniform(0, 1, (4, 4))},
         TourBatch: {"tours": np.array([[0, 1, 2, 3]]), "costs": np.array([4.0])},
     }
     for cls, arrays in given.items():
         before = {name: a.copy() for name, a in arrays.items()}
-        extra = {"n": 4} if cls is TspInstance else {}
-        value = cls(**extra, **arrays)
+        value = cls(**arrays)
         for name, a in arrays.items():
             a += 1
             held = getattr(value, name)
@@ -90,10 +94,22 @@ def test_built_instances_share_no_input_and_are_read_only():
         "DIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n"
         "1 0.0 0.0\n2 3.0 0.0\n3 0.0 4.0\n")
     for inst, given in ((euclidean_instance(coords), coords), (build_instance(raw), None)):
-        for a in (inst.dist, inst.eta):
-            assert not a.flags.writeable
-            assert given is None or not np.shares_memory(a, given)
-        assert not np.shares_memory(inst.dist, inst.eta)
+        assert not inst.dist.flags.writeable
+        assert given is None or not np.shares_memory(inst.dist, given)
+
+
+def test_instance_holds_its_distances_and_derives_n():
+    inst = TspInstance(np.ones((4, 4)), 9.0, "four")
+    assert [f.name for f in dataclasses.fields(inst)] == ["dist", "best_known", "name"]
+    assert inst.n == 4 and inst.best_known == 9.0 and inst.name == "four"
+    for bad, message in ((np.ones((3, 5)), r"shape \(3, 5\)"),
+                         (np.ones(4), r"shape \(4,\)"),
+                         (np.ones((2, 3, 3)), r"shape \(2, 3, 3\)"),
+                         (5, r"shape \(\)")):
+        with pytest.raises(ValueError, match=rf"^dist must be a square 2-D array, got {message}$"):
+            TspInstance(bad)
+    with pytest.raises(DegenerateInstance, match="need at least 3 cities, got 2"):
+        TspInstance(np.ones((2, 2)))
 
 
 def test_build_instance_from_tsplib_rounds():
@@ -123,7 +139,9 @@ def test_coincident_cities_rejected_unless_lenient():
         build_instance(raw)
     inst = build_instance(raw, lenient=True)
     assert inst.dist[0, 1] == 0.0
-    assert np.isfinite(inst.eta).all()  # eta clamped, not inf
+    tau = PheromoneState.initial(3, 1.0)
+    p = compute_probability_matrix(tau, inst, AcoParams(m=1, k=1)).p
+    assert np.isfinite(p).all()  # eta clamped, not inf
 
 
 def test_too_few_cities_rejected():
@@ -145,6 +163,10 @@ def test_gamma_schedule_validation():
         GammaSchedule(gamma_min=0.0)
     with pytest.raises(ValueError):
         GammaSchedule(period=0)
+    for period in (2.5, True, "3", 4.0):
+        with pytest.raises(ValueError, match="^period must be an integer"):
+            GammaSchedule(period=period)
+    assert type(GammaSchedule(period=np.int32(7)).period) is int
     with pytest.raises(ValueError):
         GammaSchedule(gamma_max=0.9)  # below 1 disallowed for the ceiling
 

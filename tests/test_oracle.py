@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from antbatch.colony import compute_probability_matrix, iterate
-from antbatch.model import AcoParams, PheromoneState, Selection
+from antbatch.model import AcoParams, PheromoneState, Selection, build_instance
 from antbatch.oracle import (
     InstanceTooLarge,
     brute_force_tsp,
@@ -15,6 +15,7 @@ from antbatch.oracle import (
 )
 from antbatch.pheromone import accumulate_increments
 from antbatch.selection import AllZeroWeights
+from antbatch.tsplib import parse_instance
 
 from conftest import euclidean_instance, random_metric_instance, tour_cost
 
@@ -90,6 +91,31 @@ def test_sequential_step_matches_pipeline(mech):
     params = AcoParams(m=5, k=2, selection=mech, seed=42)
     tau = PheromoneState.initial(7, 1.0)
     prob = compute_probability_matrix(tau, inst, params)
+    for it in range(3):
+        oracle_batch, tau_oracle = sequential_aco_step(tau, inst, params, it)
+        batch, tau, prob = iterate(tau, prob, inst, params, it)
+        assert np.array_equal(batch.tours, oracle_batch.tours)
+        assert np.array_equal(batch.costs, oracle_batch.costs)
+        assert np.allclose(tau.tau, tau_oracle.tau, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("beta", [0.1, 2.0])
+@pytest.mark.parametrize("mech", list(Selection))
+def test_sequential_step_matches_pipeline_on_coincident_cities(mech, beta):
+    # cities 0 and 1, and 4 and 5, coincide: both sides clamp their distance
+    # to ETA_CLAMP when deriving eta (at beta = 0.1 the twin is the likely
+    # pick, not a certain one, so with 64 ants a different clamp on one side
+    # changes the tours of every mechanism)
+    raw = parse_instance(
+        "DIMENSION : 8\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n"
+        "1 0 0\n2 0 0\n3 40 10\n4 70 60\n5 20 80\n6 20 80\n7 90 5\n8 55 35\n")
+    inst = build_instance(raw, lenient=True)
+    params = AcoParams(m=64, k=2, beta=beta, selection=mech, seed=42)
+    tau = PheromoneState.initial(8, 1.0)
+    prob = compute_probability_matrix(tau, inst, params)
+    assert np.isfinite(prob.p).all()
+    assert np.allclose(prob.p, scalar_probability_reference(tau, inst, params),
+                       rtol=1e-12, atol=0.0)
     for it in range(3):
         oracle_batch, tau_oracle = sequential_aco_step(tau, inst, params, it)
         batch, tau, prob = iterate(tau, prob, inst, params, it)
