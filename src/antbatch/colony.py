@@ -5,16 +5,16 @@ construction, elite deposit, evaporation and the next transition matrix.
 Each ant keeps its unvisited cities in the first n - s columns of one
 (m, n) candidate block at step s; the pick is swap-removed to the last of
 those columns, so the block ends as the reversed tours and no step touches
-more than the (m, n - s) candidates. One iteration's randomness is
-addressed per construction step: step s draws one (m, n - s) deviate block
-covering every ant, from the step's SFC64 state (the rng module takes the
-states of all steps, and the start cities, from one keyed stream per
-iteration before the first step), so an ant's choices never depend on how
-the others are scheduled. The argmax mechanisms consume the
-full block through ``selection.argmax_select_block``; the roulette wheel
-consumes one threshold per ant (the uniform view of the block's first
-column) and runs all spins in lockstep through ``selection.rw_spin_block``,
-a row-wise prefix-sum kernel. These two kernels are the only vectorized
+more than the (m, n - s) candidates. One iteration's randomness comes
+from one keyed generator that the construction owns: it draws the start
+cities, then step s draws one (m, n - s) deviate block covering every ant,
+in step order, so an iteration can be replayed in isolation and an ant's
+choices never depend on how the others are scheduled. The argmax
+mechanisms consume the full block through
+``selection.argmax_select_block``; the roulette wheel consumes one
+threshold per ant (the uniform view of the block's first column) and runs
+all spins in lockstep through ``selection.rw_spin_block``, a row-wise
+prefix-sum kernel. These two kernels are the only vectorized
 implementations of the selection rules; they take the same arguments, so
 every mechanism runs one step on one candidate block.
 """
@@ -110,7 +110,7 @@ def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
         table = scaled_log_weights(p.p, gamma)
         draw, kernel, no_weight = rng.step_exponentials, argmax_select_block, -np.inf
 
-    current, keys = rng.construction_draws(params.seed, iteration, m, n)
+    current, g = rng.construction_draws(params.seed, iteration, m, n)
     base = np.arange(m) * n  # offset of each ant's row in the flat block
     cand = np.tile(np.arange(n), (m, 1))
     flat = cand.ravel()
@@ -124,7 +124,7 @@ def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
     with np.errstate(invalid="ignore"):
         for step in range(1, n):
             r = n - step
-            block = draw(keys, step, m, r, out=deviates[:m * r].reshape(m, r))
+            block = draw(g, m, r, out=deviates[:m * r].reshape(m, r))
             at = base + kernel(table, current, block, cand[:, :r],
                                scratch[:m * r].reshape(m, r),
                                index[:m * r].reshape(m, r))

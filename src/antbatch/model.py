@@ -2,7 +2,9 @@
 
 All types are immutable value objects: every array they hold is read-only,
 and state transitions produce new objects. That makes every type safe to
-share across threads and keeps the batched pipeline and the sequential
+share across threads, and since construction and the oracle each draw from
+a generator of their own per call, both may run in several threads at once
+on shared values. It also keeps the batched pipeline and the sequential
 reference operating on literally identical inputs. Public constructors copy
 the arrays they are given, so a caller's array never aliases a value; an
 array the package has just built and holds no other reference to is
@@ -159,8 +161,8 @@ class GammaSchedule:
     period: int = 1000
 
     def __post_init__(self):
-        if not self.gamma_max >= 1.0:
-            raise ValueError(f"gamma_max must be >= 1, got {self.gamma_max}")
+        if not 1.0 <= self.gamma_max < np.inf:
+            raise ValueError(f"gamma_max must be finite and >= 1, got {self.gamma_max}")
         if not self.gamma_min > 0.0:
             raise ValueError(f"gamma_min must be > 0, got {self.gamma_min}")
         if self.gamma_min > self.gamma_max:
@@ -202,14 +204,14 @@ class AcoParams:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if not 1 <= self.k <= self.m:
             raise ValueError(f"k must be in [1, m={self.m}], got {self.k}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not self.beta >= 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not 0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if not 0 <= self.rho < 1:
             raise ValueError(f"rho must be in [0, 1), got {self.rho}")
-        if not self.q0_tau > 0:
-            raise ValueError(f"q0_tau must be > 0, got {self.q0_tau}")
+        if not 0 < self.q0_tau < np.inf:
+            raise ValueError(f"q0_tau must be finite and > 0, got {self.q0_tau}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         if not 0 <= self.seed < 2**64:

@@ -5,8 +5,9 @@ selection kernels' distributions.
 The references favor auditability over speed: explicit loops, one ant,
 one city, one edge at a time, plain Python floats in the inner loops. The
 sequential step consumes the same keyed random blocks as the batched
-pipeline (an ant's deviates are addressed by key, so both implementations
-read identical values) and must reproduce the pipeline's tours bit for bit:
+pipeline (both draw an iteration's start cities and then its step blocks,
+in step order, from the iteration's own keyed generator, so both read
+identical values) and must reproduce the pipeline's tours bit for bit:
 Python floats are IEEE doubles, so a scalar running sum retraces cumsum's
 partial sums and a scalar strict-greater scan retraces argmax's
 first-of-ties choice, which is pinned by the numerics-assumption tests.
@@ -154,7 +155,7 @@ def sequential_aco_step(tau: PheromoneState, inst: TspInstance, params: AcoParam
     else:
         rows = scaled_log_weights(p, gamma).tolist()
 
-    starts, keys = rng.construction_draws(params.seed, iteration, m, n)
+    starts, g = rng.construction_draws(params.seed, iteration, m, n)
     tours = [[int(starts[a])] for a in range(m)]
     # each ant's unvisited cities are the first n - step entries of its
     # candidate list; a pick is swapped to the last of them
@@ -166,7 +167,7 @@ def sequential_aco_step(tau: PheromoneState, inst: TspInstance, params: AcoParam
     for step in range(1, n):
         r = n - step
         if mech is Selection.RW:
-            u = rng.step_uniforms(keys, step, m, r)
+            u = rng.step_uniforms(g, m, r)
             for a in range(m):
                 row = rows[tours[a][-1]]
                 cand = cands[a]
@@ -193,7 +194,7 @@ def sequential_aco_step(tau: PheromoneState, inst: TspInstance, params: AcoParam
                 cand[pick], cand[r - 1] = cand[r - 1], choice
                 tours[a].append(choice)
         else:
-            e_block = rng.step_exponentials(keys, step, m, r).tolist()
+            e_block = rng.step_exponentials(g, m, r).tolist()
             for a in range(m):
                 row = rows[tours[a][-1]]
                 e = e_block[a]

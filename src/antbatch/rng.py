@@ -6,29 +6,26 @@ Every random draw in a run is addressed by an explicit key
 batched pipeline, the sequential reference) regenerates identical values for
 the same key regardless of execution order or width.
 
-Construction randomness is drawn in per-step blocks: at iteration ``it``,
-step ``step``, the colony draws one (m, n - step) block of Exp(1) deviates
-covering all m ants, one deviate per unvisited city, and ant ``a`` consumes
-row ``a``. Every selection mechanism consumes the same block: the argmax
-mechanisms read the full row, the roulette wheel reads one element per row
-through the uniform view u = exp(-E). Switching mechanisms therefore never
-changes the randomness a step draws, and timing comparisons between
-mechanisms isolate kernel cost rather than deviate-generation cost. An
-ant's substream is identified by ``(seed, iteration, step, ant-row)``
-without a generator built per ant, and none is built per step either.
-The step blocks are the hot path, so they come from SFC64, which draws
-them in about half of Philox's time. An SFC64 stream is fully set by its
-four state words, so ``construction_draws`` takes the states of all steps
-of an iteration from the iteration's one Philox stream, and each step
-re-keys one module-level SFC64. Philox words are full-entropy, so the
-states need no warm-up rounds.
-Both step draws take an ``out`` block to draw into, so a construction can
-draw every step into a prefix of one buffer instead of allocating a block
-per step; the values and the generator state after the draw are the same
-either way.
+Construction randomness is one generator per iteration, owned by the call
+that draws from it: ``construction_draws`` keys it by (seed, iteration),
+draws the start cities first, and each step then draws one (m, n - step)
+block of Exp(1) deviates from it, in step order, covering all m ants, one
+deviate per unvisited city; ant ``a`` consumes row ``a``. Every selection
+mechanism consumes the same block: the argmax mechanisms read the full row,
+the roulette wheel reads one element per row through the uniform view
+u = exp(-E). Switching mechanisms therefore never changes the randomness a
+step draws, and timing comparisons between mechanisms isolate kernel cost
+rather than deviate-generation cost. An iteration can be replayed in
+isolation; a step cannot, since its block follows the earlier steps' blocks
+in the stream. No generator is shared between calls, so constructions may
+run in several threads at once.
+The step blocks are the hot path, so the generator is SFC64, which draws
+them in about half of Philox's time. Both step draws take an ``out`` block
+to draw into, so a construction can draw every step into a prefix of one
+buffer instead of allocating a block per step; the values and the generator
+state after the draw are the same either way.
 
-The start cities come from the same Philox stream, after the step states,
-and Monte-Carlo blocks from a Philox stream per block. Pinned outputs (the
+Monte-Carlo blocks come from a Philox stream per block. Pinned outputs (the
 tours of every run, the estimator's frequencies) depend on their bits.
 """
 
@@ -54,69 +51,52 @@ def stream(seed: int, domain: int, *key: int) -> np.random.Generator:
 
 
 def construction_draws(seed: int, iteration: int, m: int,
-                       n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start cities and step states of one iteration's construction.
+                       n: int) -> tuple[np.ndarray, np.random.Generator]:
+    """Start cities and step generator of one iteration's construction.
 
-    Both come from ``stream(seed, DOMAIN_CONSTRUCT, iteration)``: first n
-    rows of three raw 64-bit words, row s the first three state words of
-    step s's SFC64, whose counter word is 1; then one start city per ant,
-    ``integers(0, n, size=m)``. The states come first, so row s depends
-    only on (seed, iteration, s), not on m or n. Returns the (m,) int64
-    start cities and the (n, 4) uint64 states. Raises ValueError for a
-    negative seed or iteration.
+    The generator is ``Generator(SFC64(SeedSequence(entropy=seed,
+    spawn_key=(DOMAIN_CONSTRUCT, iteration))))``. Returns its first
+    ``integers(0, n, size=m)``, the (m,) int64 start cities, and the
+    generator itself, from which the steps draw their blocks in step order.
+    Raises ValueError for a negative seed or iteration.
     """
-    g = stream(seed, DOMAIN_CONSTRUCT, iteration)
-    states = np.ones((n, 4), dtype=np.uint64)
-    states[:, :3] = g.bit_generator.random_raw((n, 3))
-    return g.integers(0, n, size=m, dtype=np.int64), states
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(DOMAIN_CONSTRUCT, iteration))
+    g = np.random.Generator(np.random.SFC64(ss))
+    return g.integers(0, n, size=m, dtype=np.int64), g
 
 
-_STEP_SFC64 = np.random.SFC64(0)
-_STEP_GENERATOR = np.random.Generator(_STEP_SFC64)
-
-
-def step_exponentials(keys: np.ndarray, step: int, m: int, n: int,
+def step_exponentials(g: np.random.Generator, m: int, n: int,
                       out: np.ndarray | None = None) -> np.ndarray:
     """Exp(1) deviate block for one construction step, shape (m, n).
 
-    ``keys`` is the iteration's states from ``construction_draws``. Row a
-    belongs to ant a; the colony passes the number of unvisited cities,
-    n - step, as ``n``. Used by the argmax-based selection mechanisms; with
-    r = exp(-E) these are i.i.d. uniforms on the open interval (0, 1). The
-    whole state of the module's SFC64 is reset (the step's four state
-    words, no buffered 32-bit half) before the draw, so the block depends
-    only on the arguments and equals the ``standard_exponential((m, n))``
-    of a fresh ``Generator(SFC64())`` whose state is set to ``keys[step]``.
-    The SFC64 is shared, so calls must not run in several threads at once.
+    ``g`` is the iteration's generator from ``construction_draws``, and the
+    block is its next ``standard_exponential((m, n))``. Row a belongs to
+    ant a; the colony passes the number of unvisited cities, n - step, as
+    ``n``. Used by the argmax-based selection mechanisms; with r = exp(-E)
+    these are i.i.d. uniforms on the open interval (0, 1).
 
     With ``out``, a C-contiguous float64 (m, n) array, the block is drawn
     into it and ``out`` is returned, bitwise the block drawn without it;
     another shape raises ValueError.
     """
-    _STEP_SFC64.state = {
-        "bit_generator": "SFC64",
-        "state": {"state": keys[step]},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return _STEP_GENERATOR.standard_exponential(size=(m, n), out=out)
+    return g.standard_exponential(size=(m, n), out=out)
 
 
-def step_uniforms(keys: np.ndarray, step: int, m: int, n: int,
+def step_uniforms(g: np.random.Generator, m: int, n: int,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Uniform(0,1) threshold per ant for one construction step, shape (m,).
 
     The uniform view of the step's deviate block: u = exp(-E) of the block's
     first column. The roulette wheel needs one threshold per ant per step; it
-    still consumes the same keyed (m, n) block as the argmax mechanisms (n
-    the number of unvisited cities) so that the per-step stream geometry is
+    still consumes the same (m, n) block as the argmax mechanisms (n the
+    number of unvisited cities) so that the per-step stream geometry is
     mechanism-independent. Both the lockstep pipeline and the sequential
     reference call this one function, which keeps their thresholds
-    bit-identical. ``out`` is passed on to
-    ``step_exponentials``, which draws the block into it; the thresholds
-    are the same with it and without.
+    bit-identical. ``out`` is passed on to ``step_exponentials``, which
+    draws the block into it; the thresholds are the same with it and
+    without.
     """
-    return np.exp(-step_exponentials(keys, step, m, n, out)[:, 0])
+    return np.exp(-step_exponentials(g, m, n, out)[:, 0])
 
 
 def mc_stream(seed: int, block: int) -> np.random.Generator:

@@ -197,20 +197,29 @@ def distance_matrix(xy: np.ndarray, edge_weight_type: str) -> np.ndarray:
     ``xy`` holds one (x, y) row per city. EUC_2D rounds the Euclidean
     distance half-up (TSPLIB ``nint``, floor(r + 0.5)); CEIL_2D takes the
     ceiling; ATT is the pseudo-Euclidean rule (r = sqrt(d2 / 10), rounded
-    half-up, then bumped up by one when rounding went below r).
+    half-up, then bumped up by one when rounding went below r). Each rule
+    runs in place in the two (n, n) difference arrays, so a load holds at
+    most those two (and ATT's (n, n) bool comparison) at once.
     """
     x, y = np.asarray(xy, dtype=np.float64).reshape(-1, 2).T
     dx = x[:, None] - x
     dy = y[:, None] - y
-    d2 = dx * dx + dy * dy
+    dx *= dx
+    dy *= dy
+    dx += dy  # the squared distances
     if edge_weight_type == "EUC_2D":
-        return np.floor(np.sqrt(d2) + 0.5)
+        np.sqrt(dx, out=dx)
+        dx += 0.5
+        return np.floor(dx, out=dx)
     if edge_weight_type == "CEIL_2D":
-        return np.ceil(np.sqrt(d2))
+        np.sqrt(dx, out=dx)
+        return np.ceil(dx, out=dx)
     if edge_weight_type == "ATT":
-        r = np.sqrt(d2 / 10.0)
-        t = np.floor(r + 0.5)
-        return t + (t < r)
+        dx /= 10.0
+        r = np.sqrt(dx, out=dx)
+        t = np.floor(np.add(r, 0.5, out=dy), out=dy)
+        t += t < r
+        return t
     raise UnsupportedEdgeWeightType(f"edge weight type {edge_weight_type!r} not supported")
 
 

@@ -132,13 +132,14 @@ def test_config_from_dict_names_the_bad_key(edit, named, rnd10):
     ("best_known", 0.0), ("time_limit_seconds", float("nan")),
     ("instance_path", 3), ("instance_path", ["a"]), ("instance_path", None),
     ("output_path", 3), ("summary_path", 7), ("lenient", "false"), ("lenient", 0),
+    ("alpha", float("inf")), ("beta", float("inf")), ("q0_tau", float("inf")),
 ])
 def test_config_rejects_a_mistyped_or_non_finite_value(field, value, rnd10):
     # each of these used to pass validation and end in a traceback mid-run,
     # or, for a NaN time limit, run to the iteration cap
     params = {"m": 4, "k": 1, "max_iters": 2, "seed": 0}
     rest = {}
-    (params if field in params else rest)[field] = value
+    (params if field in AcoParams.__dataclass_fields__ else rest)[field] = value
     with pytest.raises(ValueError, match=rf"^{field} must be"):
         tiny_config(rnd10, params=AcoParams(**params), **rest)
 
@@ -421,21 +422,21 @@ def test_shift_study_rejects_trials_below_one(trials):
 
 # pinned outputs -------------------------------------------------------------------
 
-# sha256 of seeded outputs, recorded when the step states and start cities
-# moved to one keyed Philox stream per iteration (the tours, and so every
+# sha256 of seeded outputs, recorded when construction moved to one keyed
+# SFC64 per iteration, drawn in step order (the tours, and so every
 # record, depend on the step blocks' and the start cities' bits).
 # The digests are of repr'd floats, so they assume IEEE doubles and the
 # numpy/libm results of an x86-64 Linux build.
 RECORD_DIGESTS = {
-    "rw": "9ea1bf258f54c634fc366a60c8312bb9b2a651d30fbced58aa5949930a00ed52",
-    "ir": "cca72f637fdf59744b81566f363026b75b5e20d2b5b95c9ba85eef2d48ec68e8",
-    "adair": "ba0e57ea8b2627fe53f446248bf0877c7ad79fa76d868790031762a9ae12d854",
+    "rw": "0f04c99df14d9757c91abd431c0fd99202d61d7254cc65165a8ce4477c59662c",
+    "ir": "ab02acd5b11b6946b8d26710bf3c5e40418ffa9d4a8d049de0075dc6fdaa8a82",
+    "adair": "0fbb58322084633dac1a1c69a6991df619f7374cd9b311b6d2191debc14855be",
 }
 # Every row of the shift study reads the oracle estimator's block-0
 # deviates, so SHIFT_DIGEST changes with the estimator's keying; the study
 # reads ant 0's start city and runs colony.iterate between rows, so it
 # changes with the construction draws' too.
-SHIFT_DIGEST = "1faef9863e26f902eb279011ed840e477ac95008b9665ef934c22681ade191e9"
+SHIFT_DIGEST = "70d7e18e2f76c83b3e706ffcd1ec767df55b830b629c93aa24bc2480ef659b9e"
 
 
 @pytest.mark.parametrize("mech", list(Selection))

@@ -1,5 +1,7 @@
 import hashlib
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -123,8 +125,8 @@ def test_construct_tours_deterministic(mech):
 
 @pytest.mark.parametrize("mech", list(Selection))
 def test_construct_tours_builds_one_seed_sequence(mech, monkeypatch):
-    # the step states and the start cities come from one keyed Philox
-    # stream per iteration, the only SeedSequence a construction builds
+    # the start cities and every step block come from one keyed SFC64 per
+    # iteration, the only SeedSequence a construction builds
     inst = make(15, seed=2)
     params = params_for(inst, mech, m=4)
     p = compute_probability_matrix(PheromoneState.initial(15, 1.0), inst, params)
@@ -151,9 +153,9 @@ def test_construct_tours_draws_every_step_into_one_block(mech, monkeypatch):
     blocks = []
     real = rng.step_exponentials
 
-    def spy(keys, step, m, n, out=None):
+    def spy(g, m, n, out=None):
         blocks.append(out)
-        return real(keys, step, m, n, out)
+        return real(g, m, n, out)
 
     monkeypatch.setattr(rng, "step_exponentials", spy)
     batch = construct_tours(p, inst, params, iteration=2)
@@ -161,6 +163,35 @@ def test_construct_tours_draws_every_step_into_one_block(mech, monkeypatch):
     assert all(np.shares_memory(b, blocks[0]) for b in blocks)
     assert sum(b.size for b in blocks) == 3 * 12 * 11 // 2
     assert np.array_equal(batch.tours, expected.tours)
+
+
+@pytest.mark.parametrize("mech", list(Selection))
+def test_construction_and_oracle_are_safe_in_threads(mech):
+    # each call draws from a generator of its own, so calls running in
+    # several threads at once return the tours they return one at a time
+    inst, small = make(300, seed=3), make(30, seed=4)
+    params = params_for(inst, mech, m=30)
+    p = compute_probability_matrix(PheromoneState.initial(300, 1.0), inst, params)
+    tau = PheromoneState.initial(30, 1.0)
+
+    def construct(it):
+        return construct_tours(p, inst, params, it).tours
+
+    def reference(it):
+        return sequential_aco_step(tau, small, params_for(small, mech, m=8), it)[0].tours
+
+    calls = [(f, it) for it in range(5) for f in (construct, reference)]
+    serial = [f(it) for f, it in calls]
+    start = threading.Barrier(4)
+
+    def worker():
+        start.wait()
+        return [f(it) for f, it in calls]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        runs = [job.result() for job in [pool.submit(worker) for _ in range(4)]]
+    assert [[np.array_equal(t, want) for t, want in zip(run, serial)] for run in runs] \
+        == [[True] * len(calls)] * 4
 
 
 @pytest.mark.parametrize("mech", list(Selection))
@@ -180,13 +211,13 @@ def test_construct_tours_steps_allocate_no_block(mech, monkeypatch):
     base = []
     real = rng.step_exponentials
 
-    def spy(keys, step, mm, r, out=None):
+    def spy(g, mm, r, out=None):
         current, peak = tracemalloc.get_traced_memory()
         if base:
             growth.append(peak - base[-1])
         tracemalloc.reset_peak()
         base.append(current)
-        return real(keys, step, mm, r, out)
+        return real(g, mm, r, out)
 
     monkeypatch.setattr(rng, "step_exponentials", spy)
     tracemalloc.start()
@@ -351,15 +382,15 @@ def test_iterate_chains_the_pipeline_in_order(mech):
 
 
 # Tours, costs, tau and the transition matrix of three iterations on a
-# 20-city instance, recorded when the step states and start cities moved to
-# one keyed Philox stream per iteration (every step block and start city,
-# so every tour's bits, changed). The digests are of float
+# 20-city instance, recorded when construction moved to one keyed SFC64
+# per iteration, drawn in step order (every step block and start city, so
+# every tour's bits, changed). The digests are of float
 # bits, so they assume IEEE doubles and the numpy/libm results of an x86-64
 # Linux build.
 ITERATE_DIGESTS = {
-    "rw": "27bbacb639ba1c546d0683381ed9436b40f26ba40c5799115870fa3cc3c38b13",
-    "ir": "1cac530002e83a8c8467fb856065c81a99bde0d3b6648e757a66d3df5170c5d1",
-    "adair": "b8e208a7ce4cc175f5fbaef87e366cfbcfc080c81746365d438b5802667f6453",
+    "rw": "cba70640f8df268b13074cd1c4a5b201d6784502743cf73878696eb9afbc15ad",
+    "ir": "476d3c42bc6a76eecc095ceeb7682d4eb9a91e08395e853fc6885a9a455267bb",
+    "adair": "4e05d0014206b04ea70f97fe7975c5add59c1e9198f3606c2ecf37b7fad50184",
 }
 
 

@@ -76,6 +76,29 @@ def test_only_rng_names_the_bit_generators():
     assert found == []
 
 
+def test_no_module_level_random_state():
+    # each draw comes from a generator its caller builds and owns, so no
+    # module holds random state that calls in several threads would share:
+    # nothing outside a function body calls into np.random at import time
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).startswith(
+                ("np.random.", "numpy.random.")):
+            found.append(f"{where}:{node.lineno}")
+        for name, child in ast.iter_fields(node):
+            if name == "body" and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                    ast.Lambda)):
+                continue
+            for c in child if isinstance(child, list) else [child]:
+                if isinstance(c, ast.AST):
+                    visit(c, where)
+
+    for path in sorted(Path(antbatch.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.name)
+    assert found == []
+
+
 def test_only_model_adopts_arrays():
     # model._adopt is the one path that stores an array without a copy, so
     # no other module marks an array read-only or builds a value past its

@@ -169,6 +169,9 @@ def test_gamma_schedule_validation():
     assert type(GammaSchedule(period=np.int32(7)).period) is int
     with pytest.raises(ValueError):
         GammaSchedule(gamma_max=0.9)  # below 1 disallowed for the ceiling
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="^gamma_max must be finite"):
+            GammaSchedule(gamma_max=bad)
 
 
 def test_aco_params_validation():
@@ -189,6 +192,12 @@ def test_aco_params_validation():
     ):
         with pytest.raises(ValueError):
             AcoParams(**bad)
+    # a non-finite exponent or initial level used to pass and end in a
+    # misleading NumericalUnderflow or a warning mid-run
+    for name in ("alpha", "beta", "q0_tau"):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                AcoParams(m=4, k=1, **{name: bad})
 
 
 def test_for_instance_defaults():

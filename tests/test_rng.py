@@ -1,6 +1,8 @@
 """Stream keying: every random draw in a run is addressable by
-(seed, domain, key...), so any step of any iteration can be replayed in
-isolation. That property is what the oracle equivalence tests stand on."""
+(seed, domain, key...), so any iteration can be replayed in isolation: its
+construction draws the start cities and then every step's block, in step
+order, from the iteration's own generator. That property is what the oracle
+equivalence tests stand on."""
 
 import numpy as np
 import pytest
@@ -31,10 +33,10 @@ def test_distinct_keys_distinct_streams():
 _EDGE_SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1])
 
 
-def _keyed_philox(seed, iteration):
-    """numpy's own Philox, keyed by (seed, DOMAIN_CONSTRUCT, iteration)."""
-    return np.random.Philox(np.random.SeedSequence(
-        entropy=seed, spawn_key=(rng.DOMAIN_CONSTRUCT, iteration)))
+def _keyed_sfc64(seed, iteration):
+    """numpy's own SFC64, keyed by (seed, DOMAIN_CONSTRUCT, iteration)."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+        entropy=seed, spawn_key=(rng.DOMAIN_CONSTRUCT, iteration))))
 
 
 _ITERATIONS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]), st.integers(0, 2**40 - 1))
@@ -44,41 +46,38 @@ _ITERATIONS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]), st.integers(0, 2
        st.integers(1, 8), st.integers(2, 40))
 @settings(max_examples=60, deadline=None)
 def test_step_keys_are_seed_sequence_keys(seed, iteration, m, n):
-    # the SeedSequence-keyed Philox's first n rows of three raw words set
-    # each step's SFC64 (counter word 1), and its next integers() are the
-    # start cities
-    philox = _keyed_philox(seed, iteration)
-    words = philox.random_raw((n, 3))
-    expected_starts = np.random.Generator(philox).integers(0, n, m)
-    starts, keys = rng.construction_draws(seed, iteration, m, n)
-    assert keys.dtype == np.uint64 and keys.shape == (n, 4)
-    expected = np.column_stack([words, np.ones(n, dtype=np.uint64)])
-    assert keys.tobytes() == expected.tobytes()
+    # the construction's generator is the SeedSequence-keyed SFC64, and its
+    # first integers() are the start cities
+    direct = _keyed_sfc64(seed, iteration)
+    expected_starts = direct.integers(0, n, m)
+    starts, g = rng.construction_draws(seed, iteration, m, n)
+    assert isinstance(g, np.random.Generator)
+    assert isinstance(g.bit_generator, np.random.SFC64)
+    assert starts.dtype == np.int64
     assert starts.tobytes() == expected_starts.tobytes()
-    # row s of the states is the same for any colony size and any later step
-    wider = rng.construction_draws(seed, iteration, m + 1, 2 * n)[1]
-    assert wider[:n].tobytes() == keys.tobytes()
+    # the steps draw on from where the starts left off
+    assert np.array_equal(g.bit_generator.random_raw(4), direct.bit_generator.random_raw(4))
 
 
 @given(st.one_of(_EDGE_SEEDS, st.integers(0, 2**64 - 1)), _ITERATIONS,
-       st.integers(1, 8), st.integers(2, 40), st.data())
+       st.integers(1, 8), st.integers(2, 40), st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_step_blocks_are_the_keyed_streams(seed, iteration, m, n, data):
-    words = _keyed_philox(seed, iteration).random_raw((n, 3))
-    keys = rng.construction_draws(seed, iteration, m, n)[1]
-    # draw out of order, so a left-over generator state would show
-    for step in data.draw(st.permutations(range(1, n)))[:5]:
-        direct = np.random.Generator(np.random.SFC64())
-        direct.bit_generator.state = {
-            "bit_generator": "SFC64",
-            "state": {"state": np.array([*words[step], 1], dtype=np.uint64)},
-            "has_uint32": 0, "uinteger": 0}
-        e = rng.step_exponentials(keys, step, m, n)
-        assert e.tobytes() == direct.standard_exponential((m, n)).tobytes()
-        # drawn into a caller's block: the same bits, in that block
-        buf = np.full((m, n), np.nan)
-        assert rng.step_exponentials(keys, step, m, n, out=buf) is buf
-        assert buf.tobytes() == e.tobytes()
+def test_step_blocks_are_the_keyed_streams(seed, iteration, m, n, into_out):
+    # step s's (m, n - s) block is the keyed SFC64's next
+    # standard_exponential after the starts and the blocks of steps 1..s-1
+    direct = _keyed_sfc64(seed, iteration)
+    direct.integers(0, n, m)
+    g = rng.construction_draws(seed, iteration, m, n)[1]
+    for step in range(1, n):
+        r = n - step
+        expected = direct.standard_exponential((m, r))
+        if into_out:
+            # drawn into a caller's block: the same bits, in that block
+            buf = np.full((m, r), np.nan)
+            assert rng.step_exponentials(g, m, r, out=buf) is buf
+            assert buf.tobytes() == expected.tobytes()
+        else:
+            assert rng.step_exponentials(g, m, r).tobytes() == expected.tobytes()
 
 
 def test_construction_draws_reject_negative_inputs():
@@ -89,44 +88,50 @@ def test_construction_draws_reject_negative_inputs():
 
 
 def test_step_exponentials_shape_and_determinism():
-    _, keys = rng.construction_draws(1, 5, 6, 9)
-    e1 = rng.step_exponentials(keys, 2, 6, 9)
-    e2 = rng.step_exponentials(keys, 2, 6, 9)
+    e1 = rng.step_exponentials(rng.construction_draws(1, 5, 6, 9)[1], 6, 9)
+    e2 = rng.step_exponentials(rng.construction_draws(1, 5, 6, 9)[1], 6, 9)
     assert e1.shape == (6, 9)
     assert np.array_equal(e1, e2)
-    # different iteration or step decorrelates
-    _, other = rng.construction_draws(1, 6, 6, 9)
-    assert not np.array_equal(e1, rng.step_exponentials(other, 2, 6, 9))
-    assert not np.array_equal(e1, rng.step_exponentials(keys, 3, 6, 9))
+    # a different iteration, or the next step of the same one, decorrelates
+    other = rng.construction_draws(1, 6, 6, 9)[1]
+    assert not np.array_equal(e1, rng.step_exponentials(other, 6, 9))
+    g = rng.construction_draws(1, 5, 6, 9)[1]
+    rng.step_exponentials(g, 6, 9)
+    assert not np.array_equal(e1, rng.step_exponentials(g, 6, 9))
     for shape in ((9, 6), (6, 8), (6 * 9,)):
         with pytest.raises(ValueError):
-            rng.step_exponentials(keys, 2, 6, 9, out=np.empty(shape))
+            rng.step_exponentials(g, 6, 9, out=np.empty(shape))
 
 
 def test_step_uniforms_are_the_blocks_first_column():
-    _, keys = rng.construction_draws(3, 0, 1000, 50)
-    u = rng.step_uniforms(keys, 1, 1000, 50)
+    def fresh():
+        return rng.construction_draws(3, 0, 1000, 50)[1]
+
+    u = rng.step_uniforms(fresh(), 1000, 50)
     assert u.shape == (1000,)
     assert np.all(u > 0.0) and np.all(u <= 1.0)
     # the uniform view of the shared deviate block, not a separate stream
-    e = rng.step_exponentials(keys, 1, 1000, 50)
+    e = rng.step_exponentials(fresh(), 1000, 50)
     assert np.array_equal(u, np.exp(-e[:, 0]))
     # drawing the block into a caller's buffer leaves the thresholds as they are
     buf = np.empty((1000, 50))
-    assert rng.step_uniforms(keys, 1, 1000, 50, out=buf).tobytes() == u.tobytes()
+    assert rng.step_uniforms(fresh(), 1000, 50, out=buf).tobytes() == u.tobytes()
     assert buf.tobytes() == e.tobytes()
 
 
 @pytest.fixture(scope="module")
 def colony_step_draws():
     """The draws of one construction at (m, n) = (50, 200), seed 0,
-    iteration 0: the Exp(1) blocks and the wheel thresholds of steps 1..199."""
+    iteration 0, in step order: the Exp(1) blocks of steps 1..199 and,
+    from a second generator of the same key, the wheel thresholds (the
+    colony's blocks shrink by a column per step; these keep all n)."""
     m, n = 50, 200
-    _, keys = rng.construction_draws(0, 0, m, n)
+    g = rng.construction_draws(0, 0, m, n)[1]
+    h = rng.construction_draws(0, 0, m, n)[1]
     steps = range(1, n)
     return {
-        "exponentials": np.stack([rng.step_exponentials(keys, s, m, n) for s in steps]),
-        "uniforms": np.stack([rng.step_uniforms(keys, s, m, n) for s in steps]),
+        "exponentials": np.stack([rng.step_exponentials(g, m, n) for _ in steps]),
+        "uniforms": np.stack([rng.step_uniforms(h, m, n) for _ in steps]),
     }
 
 
@@ -144,7 +149,7 @@ def test_colony_step_draws_are_distributed(colony_step_draws, draw, cdf):
 
 def test_exponentials_are_positive():
     # log-domain selection needs strictly positive deviates: e^-E < 1
-    e = rng.step_exponentials(rng.construction_draws(3, 0, 100, 100)[1], 1, 100, 100)
+    e = rng.step_exponentials(rng.construction_draws(3, 0, 100, 100)[1], 100, 100)
     assert np.all(e > 0.0)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,22 @@ def test_distance_matrix_matches_pair_reference(pts, ewt):
     for i, a in enumerate(pts):
         for j, b in enumerate(pts):
             assert got[i, j] == _pair_reference(a, b, ewt), (i, j)
+
+
+@pytest.mark.parametrize("ewt", ["EUC_2D", "CEIL_2D", "ATT"])
+def test_distance_matrix_peaks_at_two_square_arrays(ewt):
+    # every rule runs in place in the two (n, n) difference arrays; ATT's
+    # comparison adds an (n, n) bool, an eighth of one more
+    n = 400
+    xy = np.random.default_rng(0).uniform(0.0, 1000.0, size=(n, 2))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        distance_matrix(xy, ewt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 2.5 * 8 * n * n
 
 
 # round-trips ----------------------------------------------------------------
