@@ -19,14 +19,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import rng
 from .colony import compute_probability_matrix, iterate
 from .colony import construct_tours  # noqa: F401  (perfbench/test_checks.py reaches it here)
 from .model import (
@@ -36,6 +34,7 @@ from .model import (
     Selection,
     TspInstance,
     _integer,
+    _real,
     build_instance,
 )
 from .oracle import empirical_selection_distribution, sequential_aco_step
@@ -72,7 +71,8 @@ class ExperimentConfig:
     ``instance_path`` names the TSPLIB file the experiment reads. When
     time_limit_seconds is set it governs termination and max_iters acts as
     a cap; otherwise max_iters governs. ``repetitions`` is an integer,
-    stored as int, and ``best_known``, when given, a finite length > 0.
+    stored as int; ``time_limit_seconds`` and ``best_known``, when given,
+    are real, and ``best_known`` a finite length > 0.
     ``instance_path`` is a str, ``output_path`` and ``summary_path`` are
     None or a str, and ``lenient`` is a bool.
     """
@@ -89,10 +89,11 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "repetitions", _integer("repetitions", self.repetitions))
         _check_repetitions(self.params.seed, self.repetitions)
-        if self.time_limit_seconds is not None and not self.time_limit_seconds > 0:
+        limit = self.time_limit_seconds
+        if limit is not None and not _real("time_limit_seconds", limit) > 0:
             raise ValueError("time_limit_seconds must be positive")
         bk = self.best_known
-        if bk is not None and not (isinstance(bk, numbers.Real) and 0 < bk < math.inf):
+        if bk is not None and not 0 < _real("best_known", bk) < math.inf:
             raise ValueError(f"best_known must be a finite number > 0, got {bk!r}")
         if not isinstance(self.instance_path, str):
             raise ValueError(f"instance_path must be a str, got {self.instance_path!r}")
@@ -359,11 +360,12 @@ def run_probability_shift_study(inst: TspInstance, params: AcoParams,
 
     for it in range(iterations):
         gamma = gamma_at(it, params.gamma_schedule)
-        # ant 0's row at its start city: the diagonal is already zero, so
-        # this is the row masked to the unvisited cities
-        starts, _ = rng.construction_draws(params.seed, it, params.m, inst.n)
-        row = prob.p[starts[0]]
+        batch, tau, next_prob = iterate(tau, prob, inst, params, it)
+        # ant 0's start-city row of the matrix the iteration read, masked to
+        # the unvisited cities by its zero diagonal; then that matrix is freed
+        row = prob.p[batch.tours[0, 0]]
         row = row / row.sum()
+        prob = next_prob
         target = int(np.argmax(row))
         freq = empirical_selection_distribution(Selection.ADAIR, row, gamma, trials,
                                                 seed=params.seed)
@@ -371,7 +373,6 @@ def run_probability_shift_study(inst: TspInstance, params: AcoParams,
             "iteration": it, "gamma": gamma, "p_max": float(row[target]),
             "p_hat_max_prime": float(freq[target]),
         })
-        _, tau, prob = iterate(tau, prob, inst, params, it)
     return rows
 
 
@@ -426,14 +427,11 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     key and on a value of the wrong type."""
     d = _checked_keys(ExperimentConfig, d, "")
     p = _checked_keys(AcoParams, d.pop("params"), "params")
-    try:
-        sched = p.pop("gamma_schedule", None)
-        if sched is not None:
-            p["gamma_schedule"] = GammaSchedule(
-                **_checked_keys(GammaSchedule, sched, "params.gamma_schedule"))
-        return ExperimentConfig(params=AcoParams(**p), **d)
-    except TypeError as e:
-        raise ValueError(f"bad config value: {e}") from None
+    sched = p.pop("gamma_schedule", None)
+    if sched is not None:
+        p["gamma_schedule"] = GammaSchedule(
+            **_checked_keys(GammaSchedule, sched, "params.gamma_schedule"))
+    return ExperimentConfig(params=AcoParams(**p), **d)
 
 
 def median_outcomes(summaries: list[RunSummary]) -> dict:

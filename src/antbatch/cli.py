@@ -131,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # flag dest -> field it sets, for the flags a user may leave out
 _PARAM_FLAGS = {"ants": "m", "elite": "k", "alpha": "alpha", "beta": "beta",
-                "rho": "rho", "seed": "seed", "iters": "max_iters"}
+                "rho": "rho", "seed": "seed", "iters": "max_iters", "selection": "selection"}
 _SCHEDULE_FLAGS = {"gamma_max": "gamma_max", "gamma_min": "gamma_min",
                    "period": "period"}
 _CONFIG_FLAGS = {"instance": "instance_path", "reps": "repetitions",
@@ -146,11 +146,8 @@ def _given(args, flags: dict) -> dict:
 
 def _overlay(args, params: AcoParams) -> AcoParams:
     """``params`` with every parameter flag given on the command line on top."""
-    given = _given(args, _PARAM_FLAGS)
-    if getattr(args, "selection", None) is not None:
-        given["selection"] = Selection(args.selection)
     sched = replace(params.gamma_schedule, **_given(args, _SCHEDULE_FLAGS))
-    return replace(params, gamma_schedule=sched, **given)
+    return replace(params, gamma_schedule=sched, **_given(args, _PARAM_FLAGS))
 
 
 def _read(path: str) -> RawTspFile:
@@ -162,11 +159,12 @@ def _read(path: str) -> RawTspFile:
 def _default_params(args, default_iters: int, n: int) -> AcoParams:
     """Defaults for an instance of n cities: --ants ants, or one per city
     without it, with k = m/10 as ``AcoParams.for_instance`` sizes them,
-    --iters or ``default_iters`` iterations, and one gamma cycle over them."""
+    --iters or ``default_iters`` iterations (checked as max_iters before
+    the schedule is built), and one gamma cycle over them."""
     max_iters = args.iters if args.iters is not None else default_iters
-    m = args.ants if args.ants is not None else n
-    return AcoParams.for_instance(m, max_iters=max_iters,
-                                  gamma_schedule=GammaSchedule(period=max_iters))
+    params = AcoParams.for_instance(args.ants if args.ants is not None else n,
+                                    max_iters=max_iters)
+    return replace(params, gamma_schedule=GammaSchedule(period=max_iters))
 
 
 def _resident_bytes(n: int, m: int) -> int:
@@ -255,7 +253,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    sizes = [int(tok) for tok in args.ants.split(",") if tok.strip()]
+    sizes = []
+    for tok in filter(str.strip, args.ants.split(",")):
+        try:
+            sizes.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--ants: {tok.strip()!r} is not an integer") from None
     if not sizes:
         raise ValueError("--ants needs at least one colony size")
     instances = [_load(_read(path), max(sizes), lenient=args.lenient)
@@ -263,7 +266,7 @@ def _cmd_scaling(args) -> int:
     rows = run_scaling_study(
         instances, sizes, args.mode, iterations=args.iterations,
         repetitions=args.reps, seed=args.seed,
-        selection=Selection(args.selection), budget_ms=args.budget_ms)
+        selection=args.selection, budget_ms=args.budget_ms)
     return _write_rows(rows, SCALING_COLUMNS, args.out)
 
 

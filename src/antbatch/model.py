@@ -15,6 +15,7 @@ which spares an (n, n) copy of tau and of p per iteration.
 from __future__ import annotations
 
 import enum
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -70,21 +71,23 @@ def _adopt(cls, **values):
     return obj
 
 
-class _NotAnInteger(ValueError, TypeError):
-    """A field that must be an integer holds another type: a structured
-    error (ValueError) that is also the TypeError a wrong type raises, so a
-    config loader reports it as a bad value."""
-
-
 def _integer(name: str, value) -> int:
     """``value`` as an int. Python and numpy integers pass; a bool, a float,
-    a string or any other value raises an error naming the field ``name``."""
+    a string or any other value raises ValueError naming the field ``name``."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise _NotAnInteger(f"{name} must be an integer, got {value!r}")
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value):
+    """``value`` unchanged if it is a real number, Python's or numpy's; a
+    bool, a string, None or any other value raises ValueError naming it."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _check_city_count(n: int) -> None:
@@ -153,7 +156,7 @@ class GammaSchedule:
     gamma_min 1.0 makes the adaptive mechanism start exploratory and finish
     as plain independent roulette; values below 1 are permitted for
     gamma_min (greedier than plain IR). ``period`` is an integer, stored as
-    int.
+    int, and the endpoints are real; another type raises ValueError.
     """
 
     gamma_max: float = 1.5
@@ -161,9 +164,9 @@ class GammaSchedule:
     period: int = 1000
 
     def __post_init__(self):
-        if not 1.0 <= self.gamma_max < np.inf:
+        if not 1.0 <= _real("gamma_max", self.gamma_max) < np.inf:
             raise ValueError(f"gamma_max must be finite and >= 1, got {self.gamma_max}")
-        if not self.gamma_min > 0.0:
+        if not _real("gamma_min", self.gamma_min) > 0.0:
             raise ValueError(f"gamma_min must be > 0, got {self.gamma_min}")
         if self.gamma_min > self.gamma_max:
             raise ValueError(
@@ -182,8 +185,9 @@ class AcoParams:
     rho is the evaporation rate; m the ant count; k the elite count whose
     tours deposit pheromone; q0_tau the uniform initial pheromone level.
     ``seed`` keys every random stream of a run. m, k, max_iters and seed
-    are integers, stored as int; a bool, float or string in one of them
-    raises ValueError naming it.
+    are integers, stored as int, and the other numbers are real, stored as
+    given; a bool, string or other type in one of them raises ValueError
+    naming it.
     """
 
     m: int
@@ -204,19 +208,21 @@ class AcoParams:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if not 1 <= self.k <= self.m:
             raise ValueError(f"k must be in [1, m={self.m}], got {self.k}")
-        if not 0 < self.alpha < np.inf:
+        if not 0 < _real("alpha", self.alpha) < np.inf:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
-        if not 0 <= self.beta < np.inf:
+        if not 0 <= _real("beta", self.beta) < np.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        if not 0 <= self.rho < 1:
+        if not 0 <= _real("rho", self.rho) < 1:
             raise ValueError(f"rho must be in [0, 1), got {self.rho}")
-        if not 0 < self.q0_tau < np.inf:
+        if not 0 < _real("q0_tau", self.q0_tau) < np.inf:
             raise ValueError(f"q0_tau must be finite and > 0, got {self.q0_tau}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         object.__setattr__(self, "selection", Selection(self.selection))
+        if not isinstance(self.gamma_schedule, GammaSchedule):
+            raise ValueError(f"gamma_schedule must be a GammaSchedule: {self.gamma_schedule!r}")
 
     @classmethod
     def for_instance(cls, n: int, **overrides) -> "AcoParams":

@@ -29,6 +29,7 @@ from .model import (
     ETA_CLAMP,
     TAU_MIN,
     AcoParams,
+    DegenerateInstance,
     PheromoneState,
     Selection,
     TourBatch,
@@ -114,6 +115,8 @@ def sequential_increment_sum(elites: list[tuple[np.ndarray, float]], n: int) -> 
     at both orientations. The reference accumulate_increments must equal."""
     delta = np.zeros((n, n))
     for tour, cost in elites:
+        if not cost > 0:
+            raise DegenerateInstance("an elite tour has length 0: all its cities coincide")
         inc = 1.0 / cost
         t = list(tour)
         for s in range(len(t)):

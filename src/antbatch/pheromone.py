@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import TAU_MIN, PheromoneState, TourBatch, _adopt, _check_permutation
+from .model import (TAU_MIN, DegenerateInstance, PheromoneState, TourBatch, _adopt,
+                    _check_permutation)
 
 
 def select_elite(batch: TourBatch, k: int) -> list[tuple[np.ndarray, float]]:
@@ -36,7 +37,8 @@ def accumulate_increments(elites: list[tuple[np.ndarray, float]], n: int) -> np.
     rank order its n (city, predecessor) pairs, then the same pairs
     reversed. ``np.add.at`` adds repeated cells in index order, so every
     cell sums its increments in elite rank order and the result is bitwise
-    equal to the sequential per-edge reference loop.
+    equal to the sequential per-edge reference loop. An elite tour of length
+    0 has no deposit and raises DegenerateInstance.
     """
     if not elites:
         raise ValueError("elites must be nonempty")
@@ -47,7 +49,10 @@ def accumulate_increments(elites: list[tuple[np.ndarray, float]], n: int) -> np.
     prev = np.roll(tours, 1, axis=1)
     rows = np.concatenate((tours, prev), axis=1)
     cols = np.concatenate((prev, tours), axis=1)
-    inc = 1.0 / np.array([c for _, c in elites], dtype=np.float64)
+    costs = np.array([c for _, c in elites], dtype=np.float64)
+    if not np.all(costs > 0):
+        raise DegenerateInstance("an elite tour has length 0: all its cities coincide")
+    inc = 1.0 / costs
     delta = np.zeros((n, n))
     np.add.at(delta, (rows.ravel(), cols.ravel()), np.repeat(inc, 2 * n))
     return delta

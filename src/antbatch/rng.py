@@ -1,32 +1,24 @@
-"""Keyed random streams for reproducible, order-independent parallel runs.
+"""The two keyed generators of a run, each built by the call that draws
+from it from ``SeedSequence(entropy=seed, spawn_key=(domain, index))``: the
+same key always yields the same values, no generator is shared between
+calls or threads, and distinct domains never share a stream.
 
-Every random draw in a run is addressed by an explicit key
-``(seed, domain, *indices)`` rather than by position in one global stream.
-``stream`` turns a key into a Philox generator, so any consumer (the
-batched pipeline, the sequential reference) regenerates identical values for
-the same key regardless of execution order or width.
+Construction: ``construction_draws`` keys one SFC64 generator per
+(seed, iteration). It draws the start cities, then each step draws one
+(m, n - step) block of Exp(1) deviates from it, in step order, one row per
+ant and one deviate per unvisited city. Every selection mechanism consumes
+the same block: the argmax mechanisms read the full row, the roulette
+wheel one element per row through the uniform view u = exp(-E). Switching
+mechanisms therefore never changes the randomness a step draws, and timing
+comparisons between mechanisms isolate kernel cost rather than
+deviate-generation cost. An iteration can be replayed in isolation; a step
+cannot, since its block follows the earlier steps' blocks. The step blocks
+are the hot path, so the generator is SFC64, which draws them in about
+half of Philox's time.
 
-Construction randomness is one generator per iteration, owned by the call
-that draws from it: ``construction_draws`` keys it by (seed, iteration),
-draws the start cities first, and each step then draws one (m, n - step)
-block of Exp(1) deviates from it, in step order, covering all m ants, one
-deviate per unvisited city; ant ``a`` consumes row ``a``. Every selection
-mechanism consumes the same block: the argmax mechanisms read the full row,
-the roulette wheel reads one element per row through the uniform view
-u = exp(-E). Switching mechanisms therefore never changes the randomness a
-step draws, and timing comparisons between mechanisms isolate kernel cost
-rather than deviate-generation cost. An iteration can be replayed in
-isolation; a step cannot, since its block follows the earlier steps' blocks
-in the stream. No generator is shared between calls, so constructions may
-run in several threads at once.
-The step blocks are the hot path, so the generator is SFC64, which draws
-them in about half of Philox's time. Both step draws take an ``out`` block
-to draw into, so a construction can draw every step into a prefix of one
-buffer instead of allocating a block per step; the values and the generator
-state after the draw are the same either way.
-
-Monte-Carlo blocks come from a Philox stream per block. Pinned outputs (the
-tours of every run, the estimator's frequencies) depend on their bits.
+Monte-Carlo estimation: ``mc_stream`` keys one Philox generator per
+(seed, trial block). Pinned outputs (the tours of every run, the
+estimator's frequencies) depend on the bits of both generators.
 """
 
 from __future__ import annotations
@@ -38,16 +30,6 @@ import numpy as np
 # frequencies depend on DOMAIN_MC's value.
 DOMAIN_CONSTRUCT = 0
 DOMAIN_MC = 2
-
-
-def stream(seed: int, domain: int, *key: int) -> np.random.Generator:
-    """Return the Philox Generator addressed by (seed, domain, *key).
-
-    The same arguments always yield a generator in the same initial state.
-    Raises ValueError for a negative seed or key.
-    """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(domain, *key))
-    return np.random.Generator(np.random.Philox(ss))
 
 
 def construction_draws(seed: int, iteration: int, m: int,
@@ -86,19 +68,21 @@ def step_uniforms(g: np.random.Generator, m: int, n: int,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Uniform(0,1) threshold per ant for one construction step, shape (m,).
 
-    The uniform view of the step's deviate block: u = exp(-E) of the block's
-    first column. The roulette wheel needs one threshold per ant per step; it
-    still consumes the same (m, n) block as the argmax mechanisms (n the
-    number of unvisited cities) so that the per-step stream geometry is
-    mechanism-independent. Both the lockstep pipeline and the sequential
-    reference call this one function, which keeps their thresholds
-    bit-identical. ``out`` is passed on to ``step_exponentials``, which
-    draws the block into it; the thresholds are the same with it and
-    without.
+    The uniform view of the step's deviate block: u = exp(-E) of the first
+    column of the (m, n) block the argmax mechanisms draw, so a step's
+    draws do not depend on the mechanism. The lockstep pipeline and the
+    sequential reference both call this one function, which keeps their
+    thresholds bit-identical. ``out`` is passed on to
+    ``step_exponentials``; the thresholds are the same with it and without.
     """
     return np.exp(-step_exponentials(g, m, n, out)[:, 0])
 
 
 def mc_stream(seed: int, block: int) -> np.random.Generator:
-    """Generator for Monte-Carlo estimation, keyed by trial block index."""
-    return stream(seed, DOMAIN_MC, block)
+    """Generator for Monte-Carlo estimation, keyed by trial block index:
+    ``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(DOMAIN_MC,
+    block))))``. The same arguments always yield a generator in the same
+    initial state. Raises ValueError for a negative seed or block.
+    """
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(DOMAIN_MC, block))
+    return np.random.Generator(np.random.Philox(ss))

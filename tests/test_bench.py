@@ -112,7 +112,7 @@ def test_config_json_round_trip(rnd10):
      "unknown config key 'params.gamma_schedule.p'"),
     (lambda d: d.pop("params"), "missing config key 'params'"),
     (lambda d: d["params"].pop("k"), "missing config key 'params.k'"),
-    (lambda d: d["params"].update(m="six"), "bad config value"),
+    (lambda d: d["params"].update(m="six"), "^m must be an integer, got 'six'$"),
     (lambda d: d.update(params=[]), "config params must be a JSON object"),
     (lambda d: d.update(synthetic={"n": 30}), "unknown config key 'synthetic'"),
     (lambda d: d.pop("instance_path"), "missing config key 'instance_path'"),
@@ -133,6 +133,9 @@ def test_config_from_dict_names_the_bad_key(edit, named, rnd10):
     ("instance_path", 3), ("instance_path", ["a"]), ("instance_path", None),
     ("output_path", 3), ("summary_path", 7), ("lenient", "false"), ("lenient", 0),
     ("alpha", float("inf")), ("beta", float("inf")), ("q0_tau", float("inf")),
+    ("alpha", True), ("alpha", "2"), ("beta", None), ("rho", None), ("rho", np.True_),
+    ("q0_tau", "1"), ("best_known", True), ("time_limit_seconds", "5"),
+    ("time_limit_seconds", False),
 ])
 def test_config_rejects_a_mistyped_or_non_finite_value(field, value, rnd10):
     # each of these used to pass validation and end in a traceback mid-run,

@@ -150,17 +150,25 @@ def test_config_with_a_fractional_seed_is_one_line_error(inst_path, tmp_path, ca
     rc = main(["solve", "--config", cfg_path, "--iters", "1"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == "antbatch: error: bad config value: seed must be an integer, got 1.5\n"
+    assert err == "antbatch: error: seed must be an integer, got 1.5\n"
 
 
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d["params"]["gamma_schedule"].update(period=2.5),
-     "bad config value: period must be an integer, got 2.5"),
+     "period must be an integer, got 2.5"),
     (lambda d: d.update(lenient="false"), "lenient must be a bool, got 'false'"),
     (lambda d: d.update(output_path=3), "output_path must be None or a str, got 3"),
     (lambda d: d.update(summary_path=7), "summary_path must be None or a str, got 7"),
     (lambda d: d.update(instance_path=["a"]), "instance_path must be a str, got ['a']"),
-], ids=["period", "lenient", "output_path", "summary_path", "instance_path"])
+    (lambda d: d["params"].update(alpha="2"), "alpha must be a real number, got '2'"),
+    (lambda d: d["params"].update(rho=None), "rho must be a real number, got None"),
+    (lambda d: d["params"]["gamma_schedule"].update(gamma_min=True),
+     "gamma_min must be a real number, got True"),
+    (lambda d: d.update(time_limit_seconds="5"),
+     "time_limit_seconds must be a real number, got '5'"),
+    (lambda d: d.update(best_known=True), "best_known must be a real number, got True"),
+], ids=["period", "lenient", "output_path", "summary_path", "instance_path", "alpha",
+        "rho", "gamma_min", "time_limit_seconds", "best_known"])
 def test_config_with_a_mistyped_value_is_one_line_error(edit, message, inst_path,
                                                          tmp_path, capsys):
     # each of these used to run with exit 0 or end in a TypeError traceback
@@ -358,6 +366,20 @@ def test_each_command_parses_its_instance_once(command, inst_path, tmp_path, mon
     assert len(parsed) == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "shift-study", "convergence"])
+def test_zero_iterations_is_named_as_max_iters(command, inst_path, tmp_path, capsys,
+                                               monkeypatch):
+    # the default gamma schedule's period follows --iters, and it used to be
+    # checked first: "period must be positive, got 0", a field never set
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    rc = main([command, inst_path, "--ants", "4", "--iters", "0"])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "antbatch: error: max_iters must be positive, got 0\n")
+    assert list(work.iterdir()) == []
+
+
 def test_iters_and_time_limit_are_mutually_exclusive(inst_path, capsys):
     rc = main(["solve", inst_path, "--iters", "5", "--time-limit", "1"])
     assert rc == 2
@@ -399,15 +421,18 @@ def test_shift_study_trials_below_one_is_one_line_error(inst_path, trials, capsy
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("counts, named", [
-    (["--iterations", "0", "--reps", "1"], "iterations"),
-    (["--iterations", "1", "--reps", "0"], "repetitions"),
-])
-def test_scaling_empty_sample_is_one_line_error(inst_path, counts, named, capsys):
+@pytest.mark.parametrize("counts, message", [
+    (["--iterations", "0", "--reps", "1"], "iterations must be >= 1, got 0"),
+    (["--iterations", "1", "--reps", "0"], "repetitions must be >= 1, got 0"),
+    # a later --ants replaces the first; it used to exit with int()'s
+    # "invalid literal for int() with base 10: 'x'", naming no flag
+    (["--ants", "4,x"], "--ants: 'x' is not an integer"),
+], ids=["counts0-iterations", "counts1-repetitions", "counts2-ants"])
+def test_scaling_empty_sample_is_one_line_error(inst_path, counts, message, capsys):
     rc = main(["scaling", "--instances", inst_path, "--ants", "4", *counts])
     assert rc == 2
     captured = capsys.readouterr()
-    assert captured.err == f"antbatch: error: {named} must be >= 1, got 0\n"
+    assert captured.err == f"antbatch: error: {message}\n"
     assert captured.out == ""
 
 

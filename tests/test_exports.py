@@ -45,6 +45,45 @@ def test_package_modules_import_no_unused_name():
     assert found == []
 
 
+def test_package_defines_no_unreferenced_private_name():
+    # the other half of the F401 stand-in: a private module-level function,
+    # class or constant that no module of the package reads is dead code
+    # (an import alone does not count; the guard above catches that)
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(Path(antbatch.__file__).parent.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        used |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {d}" for d in defined
+                      if d.startswith("_") and not d.startswith("__") and d not in used]
+    assert found == []
+
+
+def test_only_the_construction_and_its_oracle_draw_construction_streams():
+    # how an iteration's start cities and step blocks are drawn is known to
+    # colony.construct_tours and oracle.sequential_aco_step alone; any other
+    # module reads a start city from the tours, which begin at it
+    callers = set()
+    for path in sorted(Path(antbatch.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        callers |= {path.name for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", getattr(node.func, "id", None))
+                    == "construction_draws"}
+    assert callers == {"colony.py", "oracle.py"}
+
+
 def test_package_gathers_into_out_without_a_buffer():
     # np.take(..., out=) stages out through a hidden buffer under its
     # default mode="raise"; a call that passes out must name its mode

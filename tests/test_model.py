@@ -172,6 +172,12 @@ def test_gamma_schedule_validation():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="^gamma_max must be finite"):
             GammaSchedule(gamma_max=bad)
+    # a bool used to pass as 1 and a string or None to raise a TypeError
+    # naming no field
+    for name in ("gamma_max", "gamma_min"):
+        for bad in (True, np.True_, "1.2", None):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+                GammaSchedule(**{name: bad})
 
 
 def test_aco_params_validation():
@@ -198,6 +204,26 @@ def test_aco_params_validation():
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 AcoParams(m=4, k=1, **{name: bad})
+    # a bool used to pass as 1 or 0 and a string or None to raise a
+    # TypeError naming no field
+    for name in ("alpha", "beta", "rho", "q0_tau"):
+        for bad in (True, False, np.True_, "2", None, [1.0], 1j):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+                AcoParams(m=4, k=1, **{name: bad})
+    with pytest.raises(ValueError, match="^gamma_schedule must be a GammaSchedule: "):
+        AcoParams(m=4, k=1, gamma_schedule={"period": 5})
+
+
+def test_real_fields_keep_the_number_they_are_given():
+    # Python and numpy reals pass as they are, so a config echoes them
+    # byte for byte
+    values = {"alpha": 2, "beta": np.float32(2.5), "rho": np.float64(0.25),
+              "q0_tau": np.int64(3)}
+    p = AcoParams(m=4, k=1, gamma_schedule=GammaSchedule(np.float64(1.5), 1), **values)
+    for name, value in values.items():
+        assert type(getattr(p, name)) is type(value) and getattr(p, name) == value
+    assert type(p.gamma_schedule.gamma_max) is np.float64
+    assert type(p.gamma_schedule.gamma_min) is int
 
 
 def test_for_instance_defaults():

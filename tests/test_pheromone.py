@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antbatch.model import InvalidPermutation, PheromoneState, TAU_MIN, TourBatch
+from antbatch.model import (DegenerateInstance, InvalidPermutation, PheromoneState, TAU_MIN,
+                            TourBatch)
 from antbatch.oracle import sequential_increment_sum
 from antbatch.pheromone import (
     accumulate_increments,
@@ -124,6 +125,15 @@ def test_accumulate_equals_sum_of_increment_matrices():
 def test_accumulate_requires_nonempty():
     with pytest.raises(ValueError):
         accumulate_increments([], 5)
+
+
+@pytest.mark.parametrize("deposit", [accumulate_increments, sequential_increment_sum])
+def test_a_zero_length_elite_is_a_degenerate_instance(deposit):
+    # only a lenient instance whose cities coincide along a tour gives one;
+    # 1/0 used to warn "divide by zero" and deposit inf on its edges
+    elites = [(np.array([0, 1, 2, 3]), 2.0), (np.array([1, 0, 3, 2]), 0.0)]
+    with pytest.raises(DegenerateInstance, match="^an elite tour has length 0"):
+        deposit(elites, 4)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(4, 20), st.integers(1, 6))

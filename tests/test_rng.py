@@ -1,7 +1,8 @@
-"""Stream keying: every random draw in a run is addressable by
-(seed, domain, key...), so any iteration can be replayed in isolation: its
-construction draws the start cities and then every step's block, in step
-order, from the iteration's own generator. That property is what the oracle
+"""Stream keying: each generator of a run is keyed by (seed, domain, index),
+the construction's by iteration and the Monte-Carlo estimator's by trial
+block, so any iteration can be replayed in isolation: its construction
+draws the start cities and then every step's block, in step order, from
+the iteration's own generator. That property is what the oracle
 equivalence tests stand on."""
 
 import numpy as np
@@ -14,20 +15,23 @@ from antbatch import rng
 
 
 def test_same_key_same_stream():
-    a = rng.stream(7, rng.DOMAIN_CONSTRUCT, 3, 2).standard_exponential(32)
-    b = rng.stream(7, rng.DOMAIN_CONSTRUCT, 3, 2).standard_exponential(32)
+    a = rng.mc_stream(7, 3).standard_exponential(32)
+    b = rng.mc_stream(7, 3).standard_exponential(32)
     assert np.array_equal(a, b)
+    # the Monte-Carlo key is the Philox of the (DOMAIN_MC, block) spawn key
+    direct = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        entropy=7, spawn_key=(rng.DOMAIN_MC, 3))))
+    assert np.array_equal(a, direct.standard_exponential(32))
 
 
 def test_distinct_keys_distinct_streams():
-    base = rng.stream(7, rng.DOMAIN_CONSTRUCT, 3, 2).standard_exponential(32)
-    for other in (
-        rng.stream(8, rng.DOMAIN_CONSTRUCT, 3, 2),
-        rng.stream(7, rng.DOMAIN_MC, 3, 2),
-        rng.stream(7, rng.DOMAIN_CONSTRUCT, 4, 2),
-        rng.stream(7, rng.DOMAIN_CONSTRUCT, 3, 3),
-    ):
+    base = rng.mc_stream(7, 3).standard_exponential(32)
+    for other in (rng.mc_stream(8, 3), rng.mc_stream(7, 4), rng.mc_stream(2**64 - 1, 3)):
         assert not np.array_equal(base, other.standard_exponential(32))
+    # a negative seed or block is no key
+    for seed, block in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            rng.mc_stream(seed, block)
 
 
 _EDGE_SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1])
