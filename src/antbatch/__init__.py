@@ -24,10 +24,10 @@ from .bench import (
     run_scaling_study,
 )
 from .colony import (
+    Colony,
     NumericalUnderflow,
     compute_probability_matrix,
     construct_tours,
-    iterate,
 )
 from .model import (
     AcoParams,
@@ -66,6 +66,7 @@ __all__ = [
     "AcoParams",
     "AllZeroWeights",
     "BEST_KNOWN",
+    "Colony",
     "DegenerateInstance",
     "ExperimentConfig",
     "GammaSchedule",
@@ -87,7 +88,6 @@ __all__ = [
     "compute_probability_matrix",
     "construct_tours",
     "gamma_at",
-    "iterate",
     "load_instance",
     "make_synthetic_instance",
     "parse_instance",

@@ -25,7 +25,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .colony import compute_probability_matrix, iterate
+from .colony import Colony
 from .colony import construct_tours  # noqa: F401  (perfbench/test_checks.py reaches it here)
 from .model import (
     AcoParams,
@@ -185,7 +185,7 @@ def _convergence_generation(best_trace: list[float]) -> int:
 def run_experiment(config: ExperimentConfig, inst: TspInstance | None = None,
                    clock=time.perf_counter,
                    ) -> tuple[list[IterationRecord], list[RunSummary]]:
-    """Execute the configured runs, one colony.iterate call per iteration.
+    """Execute the configured runs, one ``Colony.iterate`` call per iteration.
 
     Run r uses seed base+r. Records are buffered per run and returned in run
     order. Hitting the time limit is normal termination, recorded in the
@@ -201,8 +201,7 @@ def run_experiment(config: ExperimentConfig, inst: TspInstance | None = None,
 
     for run_id in range(config.repetitions):
         params = replace(base, seed=base.seed + run_id)
-        tau = PheromoneState.initial(inst.n, params.q0_tau)
-        prob = compute_probability_matrix(tau, inst, params)
+        colony = Colony(inst, params)
         best_so_far = float("inf")
         best_trace: list[float] = []
         iter_ms: list[float] = []
@@ -211,7 +210,7 @@ def run_experiment(config: ExperimentConfig, inst: TspInstance | None = None,
 
         for it in range(params.max_iters):
             t0 = clock()
-            batch, tau, prob = iterate(tau, prob, inst, params, it)
+            batch = colony.iterate(it)
             t1 = clock()
 
             ms = (t1 - t0) * 1e3
@@ -252,12 +251,11 @@ def run_experiment(config: ExperimentConfig, inst: TspInstance | None = None,
 
 def _time_batched_cell(inst: TspInstance, params: AcoParams, iterations: int,
                        clock) -> list[float]:
-    tau = PheromoneState.initial(inst.n, params.q0_tau)
-    prob = compute_probability_matrix(tau, inst, params)
+    colony = Colony(inst, params)
     times = []
     for it in range(iterations):
         t0 = clock()
-        _, tau, prob = iterate(tau, prob, inst, params, it)
+        colony.iterate(it)
         times.append((clock() - t0) * 1e3)
     return times
 
@@ -355,17 +353,16 @@ def run_probability_shift_study(inst: TspInstance, params: AcoParams,
     if params.selection is not Selection.ADAIR:
         raise ValueError("the shift study requires the adaptive mechanism")
     rows: list[dict] = []
-    tau = PheromoneState.initial(inst.n, params.q0_tau)
-    prob = compute_probability_matrix(tau, inst, params)
+    colony = Colony(inst, params)
 
     for it in range(iterations):
         gamma = gamma_at(it, params.gamma_schedule)
-        batch, tau, next_prob = iterate(tau, prob, inst, params, it)
+        prob = colony.prob
+        batch = colony.iterate(it)
         # ant 0's start-city row of the matrix the iteration read, masked to
-        # the unvisited cities by its zero diagonal; then that matrix is freed
+        # the unvisited cities by its zero diagonal
         row = prob.p[batch.tours[0, 0]]
         row = row / row.sum()
-        prob = next_prob
         target = int(np.argmax(row))
         freq = empirical_selection_distribution(Selection.ADAIR, row, gamma, trials,
                                                 seed=params.seed)

@@ -169,13 +169,14 @@ def _default_params(args, default_iters: int, n: int) -> AcoParams:
 
 def _resident_bytes(n: int, m: int) -> int:
     """Bytes of the arrays a run holds at its peak: five 8-byte (n, n)
-    arrays (the instance's dist, tau and p, and the two an iteration builds
-    on top of them) and construction's arrays: seven 8-byte (m, n) blocks
-    (candidates, deviates, scratch, gather index, tours, and the rolled and
-    gathered copies of ``batch_costs``), the pick check's (m, n) bool mask
-    and a few 8-byte (m,) vectors, counted as six. Traced, one construction
-    peaks at 7.2 8-byte (m, n) blocks at n = 60, 7.5 at n = 12 and 8.8 at
-    n = 3; this count gives 7.2, 7.6 and 9.1."""
+    arrays (a run holds four, the instance's dist, the colony's tau and p
+    and the one an iteration builds on top of them, and the shift study a
+    fifth, the matrix the iteration read) and construction's arrays: seven
+    8-byte (m, n) blocks (candidates, deviates, scratch, gather index,
+    tours, and the rolled and gathered copies of ``batch_costs``), the pick
+    check's (m, n) bool mask and a few 8-byte (m,) vectors, counted as six.
+    Traced, one construction peaks at 7.2 8-byte (m, n) blocks at n = 60,
+    7.5 at n = 12 and 8.8 at n = 3; this count gives 7.2, 7.6 and 9.1."""
     return 8 * (5 * n * n + 7 * m * n + 6 * m) + m * n
 
 

@@ -1,5 +1,5 @@
 """The colony iteration: transition-matrix preprocessing, the lockstep
-driver that advances all m ants together, and ``iterate``, which chains
+driver that advances all m ants together, and ``Colony``, which chains
 construction, elite deposit, evaporation and the next transition matrix.
 
 Each ant keeps its unvisited cities in the first n - s columns of one
@@ -54,25 +54,49 @@ def compute_probability_matrix(tau: PheromoneState, inst: TspInstance,
     """Row-normalized transition matrix: tau^alpha * eta^beta, rows to 1,
     with eta = 1/max(dist, ETA_CLAMP).
 
-    The diagonal is forced to zero before normalization. Raises
-    NumericalUnderflow when a row's normalizer is zero or non-finite.
+    The diagonal is forced to zero before normalization. A row whose
+    smallest off-diagonal entry is below the smallest normal double, or
+    whose sum is not finite, is rebuilt as exp(L - max L) with L =
+    alpha*log(tau) + beta*log(eta): the same distribution, scaled into
+    range. Raises NumericalUnderflow when such a row's max L is not finite,
+    as for a row of tau that is zero or not finite.
     """
     # the one (n, n) array built is the result: eta^beta, times tau^alpha,
     # each in place (x * y == y * x in IEEE arithmetic, and pow(x, 1) == x,
     # so the default alpha = 1 multiplies by tau itself); overflow/underflow
-    # surfaces as a structured error below, not a warning
+    # surfaces as a rebuilt row or a structured error below, not a warning
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         p = np.maximum(inst.dist, ETA_CLAMP)
         np.power(np.divide(1.0, p, out=p), params.beta, out=p)
         p *= tau.tau if params.alpha == 1.0 else np.power(tau.tau, params.alpha)
+    np.fill_diagonal(p, np.inf)
+    low = p.min(axis=1)
     np.fill_diagonal(p, 0.0)
     sums = p.sum(axis=1, keepdims=True)
-    if not np.all(np.isfinite(sums)) or np.any(sums <= 0.0):
-        bad = int(np.argmin(np.where(np.isfinite(sums), sums, -np.inf)))
-        raise NumericalUnderflow(
-            f"row {bad} normalizer is {float(sums[bad, 0])}; "
-            "pheromone or heuristic values out of representable range"
-        )
+    rebuild = np.flatnonzero((low < np.finfo(float).tiny) | ~np.isfinite(sums[:, 0]))
+    # in blocks of n/8 rows, so that rebuilding every row holds at most
+    # three eighths of an (n, n) array more
+    block = max(1, inst.n // 8)
+    for start in range(0, rebuild.size, block):
+        rows = rebuild[start:start + block]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log = np.log(tau.tau[rows])
+            log *= params.alpha
+            eta = np.maximum(inst.dist[rows], ETA_CLAMP)
+            np.log(np.divide(1.0, eta, out=eta), out=eta)
+            eta *= params.beta
+            log += eta
+        log[np.arange(rows.size), rows] = -np.inf
+        top = log.max(axis=1, keepdims=True)
+        if not np.all(np.isfinite(top)):
+            bad = rows[np.argmin(np.isfinite(top[:, 0]))]
+            raise NumericalUnderflow(
+                f"row {bad} normalizer is {float(sums[bad, 0])}; "
+                "pheromone or heuristic values out of representable range"
+            )
+        log -= top
+        p[rows] = np.exp(log, out=log)
+        sums[rows] = log.sum(axis=1, keepdims=True)
     p /= sums
     return _adopt(ProbabilityMatrix, p=p)
 
@@ -152,21 +176,24 @@ def construct_tours(p: ProbabilityMatrix, inst: TspInstance, params: AcoParams,
     return _adopt(TourBatch, tours=tours, costs=batch_costs(tours, inst))
 
 
-def iterate(tau: PheromoneState, prob: ProbabilityMatrix, inst: TspInstance,
-            params: AcoParams, iteration: int,
-            ) -> tuple[TourBatch, PheromoneState, ProbabilityMatrix]:
-    """One colony iteration: construct every ant's tour against ``prob``,
-    select the k elite tours, deposit their increments, evaporate, and
-    precompute the transition matrix for the next iteration.
+class Colony:
+    """Pheromone ``tau``, from ``PheromoneState.initial``, and its transition matrix ``prob``."""
 
-    ``prob`` must be the transition matrix of ``tau``. Returns the
-    iteration's tours with the updated pheromone and transition matrix.
-    """
-    batch = construct_tours(prob, inst, params, iteration)
-    elites = select_elite(batch, params.k)
-    # the deposit matrix is passed on, not named, so that it is freed before
-    # the next transition matrix is built: the caller still holds the old
-    # tau and prob, so above them an iteration holds at most two (n, n)
-    # arrays at once (the deposit and the new tau, then the new tau and p)
-    tau = apply_update(tau, accumulate_increments(elites, inst.n), params.rho)
-    return batch, tau, compute_probability_matrix(tau, inst, params)
+    def __init__(self, inst: TspInstance, params: AcoParams):
+        self.inst, self.params = inst, params
+        self.tau = PheromoneState.initial(inst.n, params.q0_tau)
+        self.prob = compute_probability_matrix(self.tau, inst, params)
+
+    def iterate(self, iteration: int) -> TourBatch:
+        """One colony iteration: construct every ant's tour against ``prob``,
+        select the k elite tours, deposit their increments, evaporate, and
+        build ``prob`` from the new ``tau``; returns the tours. Dropping
+        ``prob`` once the tours are built keeps an iteration at one (n, n)
+        array above them; one that raises later leaves no ``prob``."""
+        inst, params = self.inst, self.params
+        batch = construct_tours(self.prob, inst, params, iteration)
+        self.prob = None
+        elites = select_elite(batch, params.k)
+        self.tau = apply_update(self.tau, accumulate_increments(elites, inst.n), params.rho)
+        self.prob = compute_probability_matrix(self.tau, inst, params)
+        return batch

@@ -4,12 +4,14 @@ All types are immutable value objects: every array they hold is read-only,
 and state transitions produce new objects. That makes every type safe to
 share across threads, and since construction and the oracle each draw from
 a generator of their own per call, both may run in several threads at once
-on shared values. It also keeps the batched pipeline and the sequential
-reference operating on literally identical inputs. Public constructors copy
-the arrays they are given, so a caller's array never aliases a value; an
-array the package has just built and holds no other reference to is
-adopted instead (``_adopt``): marked read-only and stored without a copy,
-which spares an (n, n) copy of tau and of p per iteration.
+on shared values; a ``colony.Colony``, which holds a colony's changing tau
+and p, is advanced by one thread at a time. Immutability also keeps the
+batched pipeline and the sequential reference operating on literally
+identical inputs. Public constructors copy the arrays they are given, so a
+caller's array never aliases a value; an array the package has just built
+and holds no other reference to is adopted instead (``_adopt``): marked
+read-only and stored without a copy, which spares an (n, n) copy of tau
+and of p per iteration.
 """
 
 from __future__ import annotations
@@ -103,7 +105,8 @@ class TspInstance:
     Attributes
     ----------
     dist : ndarray, shape (n, n)
-        Symmetric non-negative distances with zero diagonal, n >= 3.
+        Symmetric, finite, non-negative distances, n >= 3. The diagonal
+        need not be zero: no tour reads it.
     best_known : float or None
         Reference tour length for solution-error percentages.
     name : str
@@ -119,6 +122,17 @@ class TspInstance:
         if self.dist.ndim != 2 or self.n != self.dist.shape[1]:
             raise ValueError(f"dist must be a square 2-D array, got shape {self.dist.shape}")
         _check_city_count(self.n)
+        d = self.dist
+        bad = np.argwhere(~((d >= 0.0) & (d < np.inf)))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"dist[{i}, {j}] is {d[i, j]}; distances must be "
+                             "finite and non-negative")
+        bad = np.argwhere(d != d.T)
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"dist[{i}, {j}] is {d[i, j]} but dist[{j}, {i}] is "
+                             f"{d[j, i]}; distances must be symmetric")
 
     @property
     def n(self) -> int:

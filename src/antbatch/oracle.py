@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .colony import NumericalUnderflow
 from .model import (
     ETA_CLAMP,
     TAU_MIN,
@@ -91,7 +92,10 @@ def brute_force_tsp(inst: TspInstance) -> BruteForceResult:
 def scalar_probability_reference(tau: PheromoneState, inst: TspInstance,
                                  params: AcoParams) -> np.ndarray:
     """Transition matrix by scalar double loop: tau^alpha * eta^beta with eta
-    = 1/max(dist, ETA_CLAMP), row normalized, zero diagonal, unvectorized."""
+    = 1/max(dist, ETA_CLAMP), row normalized, zero diagonal, unvectorized.
+    A row whose smallest entry is below the smallest normal double or whose
+    sum is not finite is rebuilt as exp(L - max L), L = alpha*log(tau) +
+    beta*log(eta), or raises NumericalUnderflow when max L is not finite."""
     n = inst.n
     t = tau.tau
     d = inst.dist
@@ -105,6 +109,20 @@ def scalar_probability_reference(tau: PheromoneState, inst: TspInstance,
             v = t[i, j] ** a * (1.0 / np.maximum(d[i, j], ETA_CLAMP)) ** b
             p[i, j] = v
             row_sum += v
+        if min(p[i, j] for j in range(n) if j != i) < np.finfo(float).tiny \
+                or not math.isfinite(row_sum):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                logs = [a * np.log(t[i, j]) + b * np.log(1.0 / np.maximum(d[i, j], ETA_CLAMP))
+                        if j != i else -math.inf for j in range(n)]
+            top = np.max(logs)
+            if not math.isfinite(top):
+                raise NumericalUnderflow(
+                    f"row {i} normalizer is {row_sum}; "
+                    "pheromone or heuristic values out of representable range")
+            row_sum = 0.0
+            for j in range(n):
+                p[i, j] = np.exp(logs[j] - top)
+                row_sum += p[i, j]
         for j in range(n):
             p[i, j] = p[i, j] / row_sum
     return p

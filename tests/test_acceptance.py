@@ -18,7 +18,7 @@ from scipy import stats
 
 from antbatch import rng
 from antbatch.bench import ExperimentConfig, run_experiment, run_scaling_study
-from antbatch.colony import compute_probability_matrix, construct_tours, iterate
+from antbatch.colony import Colony, compute_probability_matrix, construct_tours
 from antbatch.model import (
     AcoParams,
     GammaSchedule,
@@ -345,26 +345,22 @@ def test_parser_golden_files_and_error_paths():
 # ---------------------------------------------------------------------------
 
 def _interleaved_iter_ms(inst, mechs, iters: int = 7) -> dict:
-    """Median ms per colony.iterate call for each mechanism, first call dropped.
+    """Median ms per Colony.iterate call for each mechanism, first call dropped.
 
     The colonies are built first and their iterations interleaved, the order
     rotating each round, so that a change in machine speed during the test
     slows every mechanism alike instead of whichever one runs at the time.
     """
-    colonies = {}
-    for mech in mechs:
-        params = AcoParams(m=442, k=44, selection=mech, max_iters=iters, seed=0)
-        tau = PheromoneState.initial(inst.n, params.q0_tau)
-        colonies[mech] = (params, tau, compute_probability_matrix(tau, inst, params))
+    colonies = {mech: Colony(inst, AcoParams(m=442, k=44, selection=mech,
+                                              max_iters=iters, seed=0))
+                for mech in mechs}
     times = {mech: [] for mech in mechs}
     for it in range(iters):
         r = it % len(mechs)
         for mech in mechs[r:] + mechs[:r]:
-            params, tau, prob = colonies[mech]
             t0 = time.perf_counter()
-            _, tau, prob = iterate(tau, prob, inst, params, it)
+            colonies[mech].iterate(it)
             times[mech].append((time.perf_counter() - t0) * 1e3)
-            colonies[mech] = (params, tau, prob)
     return {mech: statistics.median(ts[1:]) for mech, ts in times.items()}
 
 

@@ -27,7 +27,7 @@ from antbatch.bench import (
     write_dict_csv,
     write_records_csv,
 )
-from antbatch.colony import compute_probability_matrix, iterate
+from antbatch.colony import Colony, compute_probability_matrix
 from antbatch.model import (
     AcoParams,
     GammaSchedule,
@@ -404,15 +404,14 @@ def test_shift_study_estimates_through_the_oracle():
     params = AcoParams(m=4, k=1, seed=5, selection=Selection.ADAIR,
                        gamma_schedule=GammaSchedule(1.5, 1.0, 4))
     rows = run_probability_shift_study(inst, params, 4, trials=1500)
-    tau = PheromoneState.initial(inst.n, params.q0_tau)
-    prob = compute_probability_matrix(tau, inst, params)
+    colony = Colony(inst, params)
     for it, r in enumerate(rows):
-        row = prob.p[rng.construction_draws(params.seed, it, params.m, inst.n)[0][0]]
+        row = colony.prob.p[rng.construction_draws(params.seed, it, params.m, inst.n)[0][0]]
         row = row / row.sum()
         freq = empirical_selection_distribution(Selection.ADAIR, row, r["gamma"], 1500,
                                                 seed=params.seed)
         assert r["p_hat_max_prime"] == freq[int(np.argmax(row))]
-        _, tau, prob = iterate(tau, prob, inst, params, it)
+        colony.iterate(it)
 
 
 @pytest.mark.parametrize("trials", [0, -5])
@@ -437,7 +436,7 @@ RECORD_DIGESTS = {
 }
 # Every row of the shift study reads the oracle estimator's block-0
 # deviates, so SHIFT_DIGEST changes with the estimator's keying; the study
-# reads ant 0's start city and runs colony.iterate between rows, so it
+# reads ant 0's start city and runs Colony.iterate between rows, so it
 # changes with the construction draws' too.
 SHIFT_DIGEST = "70d7e18e2f76c83b3e706ffcd1ec767df55b830b629c93aa24bc2480ef659b9e"
 

@@ -14,9 +14,8 @@ import sys
 import numpy as np
 import pytest
 
-from antbatch import colony
-from antbatch.colony import compute_probability_matrix
-from antbatch.model import AcoParams, PheromoneState, Selection
+from antbatch.colony import Colony
+from antbatch.model import AcoParams, Selection
 
 from conftest import HERE, random_metric_instance
 
@@ -49,10 +48,9 @@ def test_traced_iteration_counts(probe, mech):
     n, m = 12, 5
     inst = random_metric_instance(np.random.default_rng(3), n)
     params = AcoParams(m=m, k=1, selection=mech, seed=2)
-    tau = PheromoneState(tau=np.ones((n, n)))
-    prob = compute_probability_matrix(tau, inst, params)
+    colony = Colony(inst, params)
     with probe.Tracer("antbatch") as tracer:
-        colony.iterate(tau, prob, inst, params, 0)
+        colony.iterate(0)
     assert tracer.patches.missing == []
 
     if mech is Selection.RW:

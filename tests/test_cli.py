@@ -14,7 +14,7 @@ from antbatch.bench import (
     make_synthetic_instance,
 )
 from antbatch.cli import _resident_bytes, main
-from antbatch.colony import compute_probability_matrix, construct_tours, iterate
+from antbatch.colony import Colony, compute_probability_matrix, construct_tours
 from antbatch.model import AcoParams, PheromoneState, Selection, build_instance
 from antbatch.tsplib import parse_instance, serialize_instance
 
@@ -185,8 +185,9 @@ def test_config_with_a_mistyped_value_is_one_line_error(edit, message, inst_path
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
 def test_high_beta_underflow_is_one_line_error(optimize):
-    # beta = 120 underflows tau^alpha * eta^beta to zero for every unvisited
-    # city of some ant; the check that catches it must survive python -O
+    # beta = 120 underflows tau^alpha * eta^beta entry by entry on rnd120;
+    # those rows are rebuilt in the log domain, so the run returns its tours
+    # and writes nothing to stderr, under python -O as well
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -195,11 +196,8 @@ def test_high_beta_underflow_is_one_line_error(optimize):
          os.path.join(src, "antbatch", "data", "rnd120.tsp"),
          "--beta", "120", "--iters", "2", "--ants", "8"],
         capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("antbatch: error: ant ")
-    assert "no unvisited city of positive weight" in lines[0] and "step" in lines[0]
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == 3
 
 
 def test_seed_overflow_across_repetitions_fails_before_any_run(inst_path, tmp_path, capsys):
@@ -232,9 +230,10 @@ _NO_MEMORY = ("Unable to allocate 2.98 GiB for an array with shape (20000, 20000
               "and data type float64")
 
 
-@pytest.mark.parametrize("target", ["antbatch.cli.build_instance", "antbatch.bench.iterate"])
+@pytest.mark.parametrize("target", ["antbatch.cli.build_instance", "antbatch.bench.Colony.iterate"],
+                         ids=["antbatch.cli.build_instance", "antbatch.bench.iterate"])
 def test_out_of_memory_is_one_line_error(target, inst_path, tmp_path, capsys, monkeypatch):
-    # an instance (build_instance) or colony (iterate) too large for memory
+    # an instance (build_instance) or colony (Colony.iterate) too large for memory
     # ends in one line and exit 2, not in a traceback
     def exhausted(*args, **kwargs):
         raise MemoryError(_NO_MEMORY)
@@ -310,18 +309,18 @@ def test_construction_peak_stays_within_the_size_checks_colony_term(n, m, mech):
 @pytest.mark.parametrize("mech", list(Selection))
 def test_a_run_peaks_within_the_size_checks_matrix_term(mech):
     # the arrays of a run with a single ant, from the parsed file on (the
-    # load, the initial tau and p, one iteration), peak at five (n, n)
-    # arrays: the instance's dist, tau and p, and the two an iteration
-    # builds on top of them. Besides them the row normalization p /= sums
-    # takes one fixed ufunc buffer of getbufsize() elements, which the size
-    # check does not count. An untraced first run fills the caches and free
-    # lists a first call leaves behind.
+    # load, the colony's initial tau and p, one iteration), peak within the
+    # five (n, n) arrays counted: they hold four, the instance's dist, tau
+    # and p, and the one an iteration builds on top of them. Besides them
+    # the row normalization p /= sums takes one fixed ufunc buffer of
+    # getbufsize() elements, which the size check does not count. An
+    # untraced first run fills the caches and free lists a first call
+    # leaves behind.
     params = AcoParams(m=1, k=1, selection=mech)
 
     def run(raw):
         inst = build_instance(raw)
-        tau = PheromoneState.initial(inst.n, params.q0_tau)
-        iterate(tau, compute_probability_matrix(tau, inst, params), inst, params, 0)
+        Colony(inst, params).iterate(0)
         return inst.n
 
     raw = parse_instance(read(os.path.join(PKG_DATA, "rnd442.tsp")))

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from antbatch import rng
 from antbatch.bench import make_synthetic_instance
 from antbatch.colony import (
+    Colony,
     NumericalUnderflow,
     compute_probability_matrix,
     construct_tours,
-    iterate,
 )
 from antbatch.model import (
+    ETA_CLAMP,
     AcoParams,
     GammaSchedule,
     PheromoneState,
@@ -88,12 +89,45 @@ def test_zero_tau_row_names_its_normalizer_as_a_plain_float():
 
 
 def test_non_finite_rows_raise():
+    # a row of tau that is not finite has no normalizer in the log domain
+    # either (a finite row whose weights overflow is rebuilt, below)
     inst = make(5)
-    hot = np.full((5, 5), 1e308)
-    np.fill_diagonal(hot, 0.0)
-    with pytest.raises(NumericalUnderflow):
-        compute_probability_matrix(PheromoneState(tau=hot), inst,
-                                   params_for(inst, Selection.IR, alpha=4.0))
+    for bad in (np.inf, np.nan):
+        hot = np.ones((5, 5))
+        hot[2] = bad
+        np.fill_diagonal(hot, 0.0)
+        with pytest.raises(NumericalUnderflow, match=f"^row 2 normalizer is {bad}; "):
+            compute_probability_matrix(PheromoneState(tau=hot), inst,
+                                       params_for(inst, Selection.IR, alpha=4.0))
+
+
+def _log_domain_rows(tau, inst, alpha, beta):
+    with np.errstate(divide="ignore"):
+        logw = alpha * np.log(tau) - beta * np.log(np.maximum(inst.dist, ETA_CLAMP))
+    np.fill_diagonal(logw, -np.inf)
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("case", ["underflow", "overflow"])
+def test_out_of_range_rows_are_rebuilt_in_the_log_domain(case):
+    # tau^alpha of rows 0-3 underflows (1e-300 squared) or overflows (1e308
+    # to the 4th) entry by entry; they are rebuilt as the distribution that
+    # tau^alpha * eta^beta still defines, and rows 4-8, in range, keep every bit
+    inst = make(9, seed=2)
+    alpha, level = {"underflow": (2.0, 1e-300), "overflow": (4.0, 1e308)}[case]
+    tau = np.ones((9, 9))
+    tau[:4] = level
+    np.fill_diagonal(tau, 0.0)
+    params = params_for(inst, Selection.IR, alpha=alpha)
+    p = compute_probability_matrix(PheromoneState(tau=tau), inst, params).p
+    assert np.all(np.diag(p) == 0.0) and np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    assert np.allclose(p[:4], _log_domain_rows(tau, inst, alpha, params.beta)[:4],
+                       rtol=1e-12, atol=0)
+    plain = np.ones((9, 9))
+    np.fill_diagonal(plain, 0.0)
+    in_range = compute_probability_matrix(PheromoneState(tau=plain), inst, params).p
+    assert np.array_equal(p[4:], in_range[4:])
 
 
 # construction ----------------------------------------------------------------
@@ -369,16 +403,19 @@ def test_all_zero_weights_check_matches_the_oracle(case, seed, n, m, zero_share)
 def test_iterate_chains_the_pipeline_in_order(mech):
     inst = make(10, seed=3)
     params = params_for(inst, mech, m=7, k=3, seed=4)
-    tau = PheromoneState.initial(10, params.q0_tau)
-    prob = compute_probability_matrix(tau, inst, params)
-    batch, tau1, prob1 = iterate(tau, prob, inst, params, 2)
+    colony = Colony(inst, params)
+    tau, prob = colony.tau, colony.prob
+    assert np.array_equal(tau.tau, PheromoneState.initial(10, params.q0_tau).tau)
+    assert np.array_equal(prob.p, compute_probability_matrix(tau, inst, params).p)
+    batch = colony.iterate(2)
     expect = construct_tours(prob, inst, params, 2)
     assert np.array_equal(batch.tours, expect.tours)
     assert np.array_equal(batch.costs, expect.costs)
     delta = accumulate_increments(select_elite(expect, params.k), inst.n)
     tau_expect = apply_update(tau, delta, params.rho)
-    assert np.array_equal(tau1.tau, tau_expect.tau)
-    assert np.array_equal(prob1.p, compute_probability_matrix(tau1, inst, params).p)
+    assert np.array_equal(colony.tau.tau, tau_expect.tau)
+    assert np.array_equal(colony.prob.p,
+                          compute_probability_matrix(colony.tau, inst, params).p)
 
 
 # Tours, costs, tau and the transition matrix of three iterations on a
@@ -399,35 +436,38 @@ def test_iterate_outputs_are_pinned(mech):
     inst = build_instance(make_synthetic_instance(20, seed=4))
     params = AcoParams(m=8, k=2, selection=mech, seed=7,
                        gamma_schedule=GammaSchedule(period=3))
-    tau = PheromoneState.initial(inst.n, params.q0_tau)
-    prob = compute_probability_matrix(tau, inst, params)
+    colony = Colony(inst, params)
     h = hashlib.sha256()
     for it in range(3):
-        batch, tau, prob = iterate(tau, prob, inst, params, it)
-        for a in (batch.tours, batch.costs, tau.tau, prob.p):
+        batch = colony.iterate(it)
+        for a in (batch.tours, batch.costs, colony.tau.tau, colony.prob.p):
             h.update(a.tobytes())
     assert h.hexdigest() == ITERATE_DIGESTS[mech.value]
 
 
 @pytest.mark.parametrize("mech", list(Selection))
 def test_iterate_holds_at_most_two_and_a_half_matrices_above_its_inputs(mech):
-    # Above the caller's tau and p, one iteration builds the log table (argmax
-    # mechanisms), the deposit, the new tau and the new p, and holds at most
-    # two of them at once, plus (m, n) blocks; a copy of tau or p on top of
-    # them, or a temporary in the refresh, is a third.
+    # Above the colony's tau and p, one iteration holds one more (n, n) array
+    # at a time, plus (m, n) blocks: the log table (argmax mechanisms) while
+    # constructing, then the deposit beside the new tau once p is dropped,
+    # then the new p beside the new tau once the old tau is freed. Holding
+    # the old p past construction, or a copy of tau or p, is a second. At
+    # beta = 120 every row of p is rebuilt in the log domain, in row blocks.
+    # The colony is built under tracing, so that freeing its arrays shows.
     n = 400
     inst = make(n, seed=1)
-    params = params_for(inst, mech, m=10, k=2, seed=1)
-    tau = PheromoneState.initial(n, params.q0_tau)
-    prob = compute_probability_matrix(tau, inst, params)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        iterate(tau, prob, inst, params, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - start) / (8 * n * n) <= 2.5
+    for beta in (2.0, 120.0):
+        params = params_for(inst, mech, m=10, k=2, seed=1, beta=beta)
+        tracemalloc.start()
+        try:
+            colony = Colony(inst, params)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            colony.iterate(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - held) / (8 * n * n) <= 1.5, beta
 
 
 def _arrays(*values):
@@ -443,12 +483,13 @@ def test_returned_arrays_are_read_only_and_share_no_input(mech):
     batch = construct_tours(prob, inst, params, 1)
     delta = accumulate_increments(select_elite(batch, params.k), inst.n)
     tau1 = apply_update(tau, delta, params.rho)
+    colony = Colony(inst, params)
+    before = _arrays(colony.tau, colony.prob, inst)
     outputs = {
         "compute_probability_matrix": (_arrays(prob), _arrays(tau, inst)),
         "construct_tours": (_arrays(batch), _arrays(prob, inst)),
         "apply_update": (_arrays(tau1), [delta, *_arrays(tau)]),
-        "iterate": (_arrays(*iterate(tau, prob, inst, params, 1)),
-                    _arrays(tau, prob, inst)),
+        "iterate": (_arrays(colony.iterate(1), colony.tau, colony.prob), before),
     }
     for name, (outs, ins) in outputs.items():
         assert outs, name

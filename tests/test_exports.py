@@ -84,6 +84,21 @@ def test_only_the_construction_and_its_oracle_draw_construction_streams():
     assert callers == {"colony.py", "oracle.py"}
 
 
+def test_only_the_colony_builds_transition_matrices():
+    # a Colony builds prob from the tau it holds, so prob is always the
+    # matrix of that tau; any other module reads Colony.prob
+    found = []
+    for path in sorted(Path(antbatch.__file__).parent.glob("*.py")):
+        if path.name == "colony.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None))
+                  == "compute_probability_matrix"]
+    assert found == []
+
+
 def test_package_gathers_into_out_without_a_buffer():
     # np.take(..., out=) stages out through a hidden buffer under its
     # default mode="raise"; a call that passes out must name its mode

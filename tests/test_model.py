@@ -72,8 +72,9 @@ def test_public_constructors_copy_their_arrays():
     # a caller's array never aliases a value: writing to it afterwards
     # changes nothing the value holds
     g = np.random.default_rng(0)
+    dist = g.uniform(1, 2, (4, 4))
     given = {
-        TspInstance: {"dist": g.uniform(1, 2, (4, 4))},
+        TspInstance: {"dist": dist + dist.T},
         PheromoneState: {"tau": g.uniform(1, 2, (4, 4))},
         ProbabilityMatrix: {"p": g.uniform(0, 1, (4, 4))},
         TourBatch: {"tours": np.array([[0, 1, 2, 3]]), "costs": np.array([4.0])},
@@ -110,6 +111,19 @@ def test_instance_holds_its_distances_and_derives_n():
             TspInstance(bad)
     with pytest.raises(DegenerateInstance, match="need at least 3 cities, got 2"):
         TspInstance(np.ones((2, 2)))
+    for cell, value, message in (((1, 2), -3.0, r"dist\[1, 2\] is -3.0"),
+                                 ((0, 2), np.nan, r"dist\[0, 2\] is nan"),
+                                 ((0, 3), np.inf, r"dist\[0, 3\] is inf")):
+        bad = np.ones((4, 4))
+        bad[cell] = bad[cell[::-1]] = value
+        with pytest.raises(ValueError, match=rf"^{message}; distances must be finite "
+                                             "and non-negative$"):
+            TspInstance(bad)
+    skew = np.ones((4, 4))
+    skew[3, 1] = 2.0
+    with pytest.raises(ValueError, match=r"^dist\[1, 3\] is 1.0 but dist\[3, 1\] is 2.0; "
+                                         "distances must be symmetric$"):
+        TspInstance(skew)
 
 
 def test_build_instance_from_tsplib_rounds():

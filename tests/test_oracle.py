@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from antbatch.colony import compute_probability_matrix, iterate
+from antbatch.colony import Colony, compute_probability_matrix
 from antbatch.model import AcoParams, PheromoneState, Selection, build_instance
 from antbatch.oracle import (
     InstanceTooLarge,
@@ -17,7 +17,7 @@ from antbatch.pheromone import accumulate_increments
 from antbatch.selection import AllZeroWeights
 from antbatch.tsplib import parse_instance
 
-from conftest import euclidean_instance, random_metric_instance, tour_cost
+from conftest import euclidean_instance, load_bundled, random_metric_instance, tour_cost
 
 
 # brute force -----------------------------------------------------------------
@@ -89,14 +89,13 @@ def test_sequential_increment_sum_matches_accumulate_exactly():
 def test_sequential_step_matches_pipeline(mech):
     inst = random_metric_instance(np.random.default_rng(10), 7)
     params = AcoParams(m=5, k=2, selection=mech, seed=42)
-    tau = PheromoneState.initial(7, 1.0)
-    prob = compute_probability_matrix(tau, inst, params)
+    colony = Colony(inst, params)
     for it in range(3):
-        oracle_batch, tau_oracle = sequential_aco_step(tau, inst, params, it)
-        batch, tau, prob = iterate(tau, prob, inst, params, it)
+        oracle_batch, tau_oracle = sequential_aco_step(colony.tau, inst, params, it)
+        batch = colony.iterate(it)
         assert np.array_equal(batch.tours, oracle_batch.tours)
         assert np.array_equal(batch.costs, oracle_batch.costs)
-        assert np.allclose(tau.tau, tau_oracle.tau, rtol=1e-12, atol=0.0)
+        assert np.allclose(colony.tau.tau, tau_oracle.tau, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("beta", [0.1, 2.0])
@@ -111,17 +110,34 @@ def test_sequential_step_matches_pipeline_on_coincident_cities(mech, beta):
         "1 0 0\n2 0 0\n3 40 10\n4 70 60\n5 20 80\n6 20 80\n7 90 5\n8 55 35\n")
     inst = build_instance(raw, lenient=True)
     params = AcoParams(m=64, k=2, beta=beta, selection=mech, seed=42)
-    tau = PheromoneState.initial(8, 1.0)
-    prob = compute_probability_matrix(tau, inst, params)
-    assert np.isfinite(prob.p).all()
-    assert np.allclose(prob.p, scalar_probability_reference(tau, inst, params),
+    colony = Colony(inst, params)
+    assert np.isfinite(colony.prob.p).all()
+    assert np.allclose(colony.prob.p, scalar_probability_reference(colony.tau, inst, params),
                        rtol=1e-12, atol=0.0)
     for it in range(3):
-        oracle_batch, tau_oracle = sequential_aco_step(tau, inst, params, it)
-        batch, tau, prob = iterate(tau, prob, inst, params, it)
+        oracle_batch, tau_oracle = sequential_aco_step(colony.tau, inst, params, it)
+        batch = colony.iterate(it)
         assert np.array_equal(batch.tours, oracle_batch.tours)
         assert np.array_equal(batch.costs, oracle_batch.costs)
-        assert np.allclose(tau.tau, tau_oracle.tau, rtol=1e-12, atol=0.0)
+        assert np.allclose(colony.tau.tau, tau_oracle.tau, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("beta", [120.0, 150.0])
+@pytest.mark.parametrize("mech", list(Selection))
+def test_sequential_step_matches_pipeline_at_high_beta(mech, beta):
+    # tau^alpha * eta^beta underflows entry by entry on rnd120 at these
+    # betas, so both sides rebuild rows in the log domain
+    inst = load_bundled("rnd120.tsp")
+    params = AcoParams(m=8, k=1, beta=beta, selection=mech, seed=0)
+    colony = Colony(inst, params)
+    assert np.allclose(colony.prob.p, scalar_probability_reference(colony.tau, inst, params),
+                       rtol=1e-12, atol=0.0)
+    for it in range(2):
+        oracle_batch, tau_oracle = sequential_aco_step(colony.tau, inst, params, it)
+        batch = colony.iterate(it)
+        assert np.array_equal(batch.tours, oracle_batch.tours)
+        assert np.array_equal(batch.costs, oracle_batch.costs)
+        assert np.allclose(colony.tau.tau, tau_oracle.tau, rtol=1e-12, atol=0.0)
 
 
 # Monte-Carlo selection distributions ------------------------------------------

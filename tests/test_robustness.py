@@ -4,30 +4,42 @@ Every ``AcoParams`` that passes validation, on any instance that builds,
 must end in permutation tours with finite costs or in one structured error:
 ``AllZeroWeights`` or ``NumericalUnderflow`` from the colony, or
 ``DegenerateInstance`` from the instance build. Each case runs a few
-iterations through ``colony.iterate`` with warnings raised as errors, so a
+iterations through ``Colony.iterate`` with warnings raised as errors, so a
 floating-point warning on the way counts as an unstructured failure too.
 The share of structured errors is printed and bounded by nothing: it shows
-how far the arithmetic reaches, not whether it is correct.
+how far the arithmetic reaches, not whether it is correct. A few drawn cases
+also go through the command line, as TSPLIB and config files, and end in
+exit 0 or in exit 2 with one line on stderr, under ``python -O`` as well.
 """
 
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from antbatch.colony import NumericalUnderflow, compute_probability_matrix, iterate
+from antbatch.bench import ExperimentConfig, config_to_dict
+from antbatch.cli import main
+from antbatch.colony import Colony, NumericalUnderflow
 from antbatch.model import (
     AcoParams,
     DegenerateInstance,
     GammaSchedule,
-    PheromoneState,
     Selection,
     build_instance,
 )
 from antbatch.selection import AllZeroWeights
-from antbatch.tsplib import RawTspFile
+from antbatch.tsplib import RawTspFile, serialize_instance
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 STRUCTURED = (AllZeroWeights, NumericalUnderflow, DegenerateInstance)
 
@@ -86,10 +98,9 @@ def _run_case(raw, lenient, params, iterations):
         warnings.simplefilter("error")
         try:
             inst = build_instance(raw, lenient=lenient)
-            tau = PheromoneState.initial(inst.n, params.q0_tau)
-            prob = compute_probability_matrix(tau, inst, params)
+            colony = Colony(inst, params)
             for it in range(iterations):
-                batch, tau, prob = iterate(tau, prob, inst, params, it)
+                batch = colony.iterate(it)
                 assert batch.tours.shape == (params.m, inst.n)
                 assert (np.sort(batch.tours, axis=1) == np.arange(inst.n)).all()
                 assert np.isfinite(batch.costs).all()
@@ -112,3 +123,39 @@ def test_every_validated_case_ends_in_tours_or_a_structured_error():
     errors = cases - outcomes["tours"]
     print(f"\nrobustness sweep: {cases} cases, {errors / cases:.0%} structured errors "
           f"({', '.join(f'{k} {v}' for k, v in sorted(outcomes.items()))})")
+
+
+def _solve_argv(where, raw, lenient, params, iterations) -> list[str]:
+    """``solve`` arguments for one case, written under ``where`` as a TSPLIB
+    file and a config file naming it."""
+    where.mkdir(exist_ok=True)
+    tsp, cfg = where / "case.tsp", where / "case.json"
+    tsp.write_text(serialize_instance(raw))
+    config = ExperimentConfig(params=replace(params, max_iters=iterations),
+                              instance_path=str(tsp), lenient=lenient)
+    cfg.write_text(json.dumps(config_to_dict(config)))
+    return ["solve", "--config", str(cfg), "--out", str(where / "case.csv")]
+
+
+def test_drawn_cases_end_in_exit_0_or_one_line_through_the_cli(tmp_path):
+    runs = []
+
+    @given(_instances(), st.booleans(), _params(), st.integers(2, 4))
+    @settings(max_examples=8, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def sweep(raw, lenient, params, iterations):
+        argv = _solve_argv(tmp_path / f"case{len(runs)}", raw, lenient, params, iterations)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, len(err.getvalue().splitlines())) in ((0, 0), (2, 1))
+        assert (code == 0) == (_run_case(raw, lenient, params, iterations) == "tours")
+        runs.append((argv, code, err.getvalue()))
+
+    sweep()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    for argv, code, err in (runs[0], runs[-1]):
+        proc = subprocess.run([sys.executable, "-O", "-m", "antbatch.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (code, err)
