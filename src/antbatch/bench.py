@@ -341,14 +341,15 @@ def run_probability_shift_study(inst: TspInstance, params: AcoParams,
                                 iterations: int, trials: int = 10_000) -> list[dict]:
     """Track how the adaptive deviate exponent shifts effective selection.
 
-    At each iteration's first construction step, records ant 0's masked
-    (renormalized) probability row maximum p_max and p_hat_max_prime, the
-    frequency with which the adaptive mechanism picks that same city in
-    ``trials`` draws of ``oracle.empirical_selection_distribution``. The
-    estimator is seeded with params.seed, so every iteration reads the same
-    deviates (common random numbers) and it rejects trials < 1. As gamma
-    anneals to 1 the estimate approaches the plain independent-roulette
-    value.
+    Before each iteration, records the maximum p_max of city 0's row of the
+    transition matrix the iteration reads (renormalized; its zero diagonal
+    masks city 0) and p_hat_max_prime, the frequency with which the
+    adaptive mechanism picks that same city in ``trials`` draws of
+    ``oracle.empirical_selection_distribution``. The estimator is seeded
+    with params.seed, so every iteration reads the same deviates (common
+    random numbers) and the rows differ only by pheromone and gamma; it
+    rejects trials < 1. As gamma anneals to 1 the estimate approaches the
+    plain independent-roulette value.
     """
     if params.selection is not Selection.ADAIR:
         raise ValueError("the shift study requires the adaptive mechanism")
@@ -357,12 +358,7 @@ def run_probability_shift_study(inst: TspInstance, params: AcoParams,
 
     for it in range(iterations):
         gamma = gamma_at(it, params.gamma_schedule)
-        prob = colony.prob
-        batch = colony.iterate(it)
-        # ant 0's start-city row of the matrix the iteration read, masked to
-        # the unvisited cities by its zero diagonal
-        row = prob.p[batch.tours[0, 0]]
-        row = row / row.sum()
+        row = colony.prob.p[0] / colony.prob.p[0].sum()
         target = int(np.argmax(row))
         freq = empirical_selection_distribution(Selection.ADAIR, row, gamma, trials,
                                                 seed=params.seed)
@@ -370,6 +366,7 @@ def run_probability_shift_study(inst: TspInstance, params: AcoParams,
             "iteration": it, "gamma": gamma, "p_max": float(row[target]),
             "p_hat_max_prime": float(freq[target]),
         })
+        colony.iterate(it)
     return rows
 
 

@@ -32,6 +32,7 @@ from .bench import (
     write_records_csv,
 )
 from .model import AcoParams, GammaSchedule, Selection, TspInstance, build_instance
+from .oracle import MC_CHUNK_ENTRIES
 from .tsplib import RawTspFile, parse_instance
 
 # Time-limited runs still need an iteration cap for record bookkeeping.
@@ -168,16 +169,36 @@ def _default_params(args, default_iters: int, n: int) -> AcoParams:
 
 
 def _resident_bytes(n: int, m: int) -> int:
-    """Bytes of the arrays a run holds at its peak: five 8-byte (n, n)
-    arrays (a run holds four, the instance's dist, the colony's tau and p
-    and the one an iteration builds on top of them, and the shift study a
-    fifth, the matrix the iteration read) and construction's arrays: seven
+    """Bytes of the arrays a run holds at its peak: four 8-byte (n, n)
+    arrays (the instance's dist, the colony's tau and p and the one an
+    iteration builds on top of them) and construction's arrays: seven
     8-byte (m, n) blocks (candidates, deviates, scratch, gather index,
     tours, and the rolled and gathered copies of ``batch_costs``), the pick
     check's (m, n) bool mask and a few 8-byte (m,) vectors, counted as six.
     Traced, one construction peaks at 7.2 8-byte (m, n) blocks at n = 60,
     7.5 at n = 12 and 8.8 at n = 3; this count gives 7.2, 7.6 and 9.1."""
-    return 8 * (5 * n * n + 7 * m * n + 6 * m) + m * n
+    return 8 * (4 * n * n + 7 * m * n + 6 * m) + m * n
+
+
+def _estimator_bytes(n: int) -> int:
+    """Bytes of the shift study's Monte-Carlo chunk, which the run's arrays
+    do not count: three 8-byte blocks of ``MC_CHUNK_ENTRIES`` entries, or
+    of one row of n when that is longer (deviates, scores, gather index),
+    and its (trials,) vectors, counted as a fourth."""
+    return 32 * max(MC_CHUNK_ENTRIES, n)
+
+
+def _sequential_bytes(n: int, m: int) -> int:
+    """Bytes the scaling study's sequential reference holds at its peak: its
+    inputs dist and tau, and above them twelve 8-byte (n, n) arrays (its
+    transition matrix, the Python lists of that matrix and of dist at 32
+    bytes an entry, the deposit, the new pheromone and its copy), fourteen
+    8-byte (n,) rows for the lists' headers, and per ant ten 8-byte (n,)
+    rows (its deviate and candidate lists, its tour) and thirty words.
+    Traced, what it holds above its inputs is 0.99 of that part of the
+    count at n = 150 and m = 4, 0.91 at n = 40 and m = 300, and 0.98 at
+    n = 5 and m = 20000."""
+    return 8 * (14 * n * n + 14 * n + 10 * m * n + 30 * m)
 
 
 def _memory_limit() -> tuple[int, str]:
@@ -190,20 +211,29 @@ def _memory_limit() -> tuple[int, str]:
     return min(limits)
 
 
-def _load(raw: RawTspFile, m: int, best_known: float | None = None,
-          lenient: bool = False) -> TspInstance:
-    """``build_instance`` of the parsed file ``raw``, after checking from its
-    DIMENSION and the colony size m that a run's arrays can fit in memory
-    at all; ValueError naming both sizes otherwise, before anything is
-    allocated."""
-    n = raw.dimension
-    need = _resident_bytes(n, m)
-    limit, what = _memory_limit()
+def _check_fits(what: str, need: int, n: int, m: int) -> None:
+    limit, name = _memory_limit()
     if need > limit:
         raise ValueError(
-            f"a run on n = {n} cities with m = {m} ants needs about "
-            f"{need / 2**30:.1f} GiB of arrays, more than {what} "
+            f"{what} on n = {n} cities with m = {m} ants needs about "
+            f"{need / 2**30:.1f} GiB of arrays, more than {name} "
             f"({limit / 2**30:.1f} GiB)")
+
+
+def _load(raw: RawTspFile, m: int, best_known: float | None = None,
+          lenient: bool = False, *, estimator: bool = False,
+          sequential: bool = False) -> TspInstance:
+    """``build_instance`` of the parsed file ``raw``, after checking from its
+    DIMENSION and the colony size m that a run's arrays, with the
+    estimator's chunk when ``estimator``, can fit in memory at all, and,
+    when ``sequential``, the sequential reference's, which runs after the
+    colony's arrays are gone; ValueError naming both sizes otherwise,
+    before anything is allocated."""
+    n = raw.dimension
+    _check_fits("a run", _resident_bytes(n, m) + (_estimator_bytes(n) if estimator else 0),
+                n, m)
+    if sequential:
+        _check_fits("the sequential reference", _sequential_bytes(n, m), n, m)
     return build_instance(raw, best_known=best_known, lenient=lenient)
 
 
@@ -262,7 +292,8 @@ def _cmd_scaling(args) -> int:
             raise ValueError(f"--ants: {tok.strip()!r} is not an integer") from None
     if not sizes:
         raise ValueError("--ants needs at least one colony size")
-    instances = [_load(_read(path), max(sizes), lenient=args.lenient)
+    instances = [_load(_read(path), max(sizes), lenient=args.lenient,
+                       sequential=args.mode != "batched")
                  for path in args.instances]
     rows = run_scaling_study(
         instances, sizes, args.mode, iterations=args.iterations,
@@ -274,7 +305,7 @@ def _cmd_scaling(args) -> int:
 def _cmd_shift(args) -> int:
     raw = _read(args.instance)
     params = _overlay(args, _default_params(args, args.iters, raw.dimension))
-    inst = _load(raw, params.m, lenient=args.lenient)
+    inst = _load(raw, params.m, lenient=args.lenient, estimator=True)
     rows = run_probability_shift_study(inst, params, args.iters,
                                        trials=args.trials)
     return _write_rows(rows, SHIFT_COLUMNS, args.out)

@@ -258,6 +258,11 @@ def sequential_aco_step(tau: PheromoneState, inst: TspInstance, params: AcoParam
 
 
 _BLOCK = 1 << 16
+# Each keyed block is drawn and scored in chunks of at most this many
+# (trial, city) entries, or one trial when a row is longer: a generator
+# fills a request element by element in C order, so successive chunks read
+# the block's deviates, and the estimate does not depend on the chunk size.
+MC_CHUNK_ENTRIES = 1 << 18
 
 
 def empirical_selection_distribution(mechanism, p, gamma: float | None = None,
@@ -266,8 +271,9 @@ def empirical_selection_distribution(mechanism, p, gamma: float | None = None,
 
     Returns counts/trials (a frequency vector summing to one). Trials are
     drawn in blocks keyed by block index, so the estimate for a given
-    (seed, trials) is deterministic and independent of block size. Each
-    block runs through the colony's own selection kernel, one trial per row
+    (seed, trials) is deterministic, and each block in chunks of at most
+    ``MC_CHUNK_ENTRIES`` entries, so its arrays do not grow with ``trials``.
+    Each chunk runs through the colony's own selection kernel, one trial per row
     and every row reading the same weights with every city a candidate, in
     index order (so a picked column is a city), and the estimate measures
     the code the colony runs. Raises ValueError for a negative weight and
@@ -291,19 +297,18 @@ def empirical_selection_distribution(mechanism, p, gamma: float | None = None,
     else:
         table = scaled_log_weights(w, float(gamma) if mech is Selection.ADAIR else 1.0)[None]
     counts = np.zeros(n, dtype=np.int64)
-    done = 0
-    block = 0
-    while done < trials:
-        b = min(_BLOCK, trials - done)
+    chunk = max(1, MC_CHUNK_ENTRIES // n)
+    for block, first in enumerate(range(0, trials, _BLOCK)):
         g = rng.mc_stream(seed, block)
-        if mech is Selection.RW:
-            kernel, deviates = rw_spin_block, g.random(b)
-        else:
-            kernel, deviates = argmax_select_block, g.standard_exponential((b, n))
-        idx = kernel(table, np.zeros(b, dtype=np.int64), deviates,
-                     np.broadcast_to(np.arange(n), (b, n)), np.empty((b, n)),
-                     np.empty((b, n), dtype=np.int64))
-        counts += np.bincount(idx, minlength=n)
-        done += b
-        block += 1
+        size = min(_BLOCK, trials - first)
+        for done in range(0, size, chunk):
+            c = min(chunk, size - done)
+            if mech is Selection.RW:
+                kernel, deviates = rw_spin_block, g.random(c)
+            else:
+                kernel, deviates = argmax_select_block, g.standard_exponential((c, n))
+            idx = kernel(table, np.zeros(c, dtype=np.int64), deviates,
+                         np.broadcast_to(np.arange(n), (c, n)), np.empty((c, n)),
+                         np.empty((c, n), dtype=np.int64))
+            counts += np.bincount(idx, minlength=n)
     return counts / trials

@@ -14,6 +14,7 @@ the 1-based line number of the offending input line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,11 @@ class DuplicateNodeId(TsplibParseError):
 
 class DimensionMismatch(TsplibParseError):
     """Coordinate count or node ids disagree with DIMENSION."""
+
+
+class CoordinateOutOfRange(TsplibParseError):
+    """A coordinate is not finite, or two cities lie so far apart that
+    their squared distance overflows."""
 
 
 @dataclass(frozen=True)
@@ -200,8 +206,26 @@ def distance_matrix(xy: np.ndarray, edge_weight_type: str) -> np.ndarray:
     half-up, then bumped up by one when rounding went below r). Each rule
     runs in place in the two (n, n) difference arrays, so a load holds at
     most those two (and ATT's (n, n) bool comparison) at once.
+
+    Raises CoordinateOutOfRange, naming the cities, for a coordinate that is
+    not finite and for coordinate spans whose squares sum past the largest
+    double, checked in O(n) before any (n, n) pass.
     """
     x, y = np.asarray(xy, dtype=np.float64).reshape(-1, 2).T
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise CoordinateOutOfRange(
+            f"city {i} has coordinates ({float(x[i])}, {float(y[i])}); "
+            "coordinates must be finite")
+    if x.size:
+        # in Python floats, which overflow to inf without a numpy warning
+        sx, sy = (float(c.max()) - float(c.min()) for c in (x, y))
+        if not math.isfinite(sx * sx + sy * sy):
+            c = x if sx >= sy else y
+            raise CoordinateOutOfRange(
+                f"cities {int(c.argmin())} and {int(c.argmax())} lie {max(sx, sy):.3g} "
+                "apart on one axis; their squared distance overflows")
     dx = x[:, None] - x
     dy = y[:, None] - y
     dx *= dx

@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +14,12 @@ from antbatch.bench import (
     config_to_dict,
     ExperimentConfig,
     make_synthetic_instance,
+    run_probability_shift_study,
 )
-from antbatch.cli import _resident_bytes, main
+from antbatch.cli import _estimator_bytes, _resident_bytes, _sequential_bytes, main
 from antbatch.colony import Colony, compute_probability_matrix, construct_tours
-from antbatch.model import AcoParams, PheromoneState, Selection, build_instance
+from antbatch.model import AcoParams, GammaSchedule, PheromoneState, Selection, build_instance
+from antbatch.oracle import sequential_aco_step
 from antbatch.tsplib import parse_instance, serialize_instance
 
 from conftest import PKG_DATA
@@ -200,6 +204,32 @@ def test_high_beta_underflow_is_one_line_error(optimize):
     assert len(proc.stdout.splitlines()) == 3
 
 
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
+@pytest.mark.parametrize("value, line", [
+    ("nan", r"city 2 has coordinates \(nan, [^)]+\); coordinates must be finite"),
+    ("inf", r"city 2 has coordinates \(inf, [^)]+\); coordinates must be finite"),
+    ("1e200", r"cities \d+ and 2 lie 1e\+200 apart on one axis; "
+              r"their squared distance overflows"),
+])
+def test_coordinates_out_of_range_are_one_line_error(value, line, optimize, tmp_path):
+    # a nan coordinate used to end in "row 0 normalizer is nan", blaming the
+    # pheromone, and inf or 1e200 in two lines of numpy warnings before that
+    raw = make_synthetic_instance(12, seed=4)
+    coords = list(raw.node_coords)
+    coords[2] = (3, float(value), coords[2][2])
+    path = tmp_path / f"{value}.tsp"
+    path.write_text(serialize_instance(replace(raw, node_coords=tuple(coords))))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-m", "antbatch.cli", "solve", str(path),
+         "--iters", "1", "--ants", "3"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert re.fullmatch(f"antbatch: error: {line}\n", proc.stderr), proc.stderr
+
+
 def test_seed_overflow_across_repetitions_fails_before_any_run(inst_path, tmp_path, capsys):
     out = tmp_path / "run.csv"
     rc = main(["solve", inst_path, "--seed", str(2**64 - 1), "--reps", "2",
@@ -251,7 +281,7 @@ _TOO_MANY_ANTS = {
     "shift-study": ["shift-study", "{inst}", "--ants", "5000000", "--iters", "1"],
     "convergence": ["convergence", "{inst}", "--ants", "5000000", "--iters", "1"],
 }
-# 8 * (6 * 12**2 + 7 * 5000000 * 12 + 6 * 5000000) + 5000000 * 12 bytes
+# 8 * (4 * 12**2 + 7 * 5000000 * 12 + 6 * 5000000) + 5000000 * 12 bytes
 _TOO_LARGE = ("antbatch: error: a run on n = 12 cities with m = 5000000 ants needs "
               "about 3.4 GiB of arrays, more than {what} (1.0 GiB)\n")
 
@@ -310,8 +340,8 @@ def test_construction_peak_stays_within_the_size_checks_colony_term(n, m, mech):
 def test_a_run_peaks_within_the_size_checks_matrix_term(mech):
     # the arrays of a run with a single ant, from the parsed file on (the
     # load, the colony's initial tau and p, one iteration), peak within the
-    # five (n, n) arrays counted: they hold four, the instance's dist, tau
-    # and p, and the one an iteration builds on top of them. Besides them
+    # four (n, n) arrays counted: the instance's dist, tau and p, and the
+    # one an iteration builds on top of them. Besides them
     # the row normalization p /= sums takes one fixed ufunc buffer of
     # getbufsize() elements, which the size check does not count. An
     # untraced first run fills the caches and free lists a first call
@@ -333,6 +363,74 @@ def test_a_run_peaks_within_the_size_checks_matrix_term(mech):
     finally:
         tracemalloc.stop()
     assert peak - start <= _resident_bytes(n, 1) + 8 * np.getbufsize()
+
+
+def test_a_shift_study_peaks_within_the_size_check_with_the_estimators_chunk():
+    # the shift study keeps city 0's row, not a transition matrix, so it
+    # peaks within a run's four (n, n) arrays and the estimator's chunk,
+    # beside the ufunc buffer of the row normalization
+    params = AcoParams(m=1, k=1, seed=3, selection=Selection.ADAIR,
+                       gamma_schedule=GammaSchedule(period=3))
+
+    def run(raw):
+        inst = build_instance(raw)
+        run_probability_shift_study(inst, params, 3, trials=10)
+        return inst.n
+
+    raw = parse_instance(read(os.path.join(PKG_DATA, "rnd442.tsp")))
+    run(raw)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        n = run(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= _resident_bytes(n, 1) + _estimator_bytes(n) + 8 * np.getbufsize()
+
+
+@pytest.mark.parametrize("mech", list(Selection))
+@pytest.mark.parametrize("n, m", [(30, 200), (120, 4)])
+def test_the_sequential_reference_peaks_within_the_size_checks_sequential_term(n, m, mech):
+    # above its inputs, dist and tau, one iteration of the scalar reference
+    # holds Python lists of the transition matrix and of dist, 32 bytes an
+    # entry, which the colony's count does not cover
+    inst = build_instance(make_synthetic_instance(n, seed=1))
+    params = AcoParams.for_instance(m, selection=mech)
+    tau = PheromoneState.initial(n, params.q0_tau)
+    sequential_aco_step(tau, inst, params, 0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sequential_aco_step(tau, inst, params, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= _sequential_bytes(n, m) - 2 * 8 * n * n
+
+
+@pytest.mark.parametrize("mode", ["sequential", "both"])
+def test_scaling_checks_the_sequential_reference_unless_batched(mode, inst_path, capsys,
+                                                                monkeypatch):
+    # at n = 12 a million ants fit the colony's count (0.7 GiB) under a
+    # 1 GiB soft limit, but not the sequential reference's (1.1 GiB)
+    real = resource.getrlimit
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (
+        (1 << 30, resource.RLIM_INFINITY) if which == resource.RLIMIT_AS else real(which)))
+    monkeypatch.setattr("antbatch.cli.build_instance", _never_loaded)
+    rc = main(["scaling", "--instances", inst_path, "--ants", "1000000", "--mode", mode])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "antbatch: error: the sequential reference on n = 12 cities with m = 1000000 ants "
+        "needs about 1.1 GiB of arrays, more than the address-space limit (1.0 GiB)\n")
+
+    def loaded(raw, **kwargs):
+        raise ValueError(f"{raw.name} loaded")
+
+    monkeypatch.setattr("antbatch.cli.build_instance", loaded)
+    rc = main(["scaling", "--instances", inst_path, "--ants", "1000000", "--mode", "batched"])
+    assert rc == 2
+    assert capsys.readouterr().err == "antbatch: error: rnd12 loaded\n"
 
 
 _PARSE_ONCE = {

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from antbatch.colony import Colony, compute_probability_matrix
 from antbatch.model import AcoParams, PheromoneState, Selection, build_instance
+from antbatch import oracle
 from antbatch.oracle import (
     InstanceTooLarge,
     brute_force_tsp,
@@ -203,3 +205,34 @@ def test_empirical_weights_need_not_be_normalized():
     b = empirical_selection_distribution("rw", np.array([5.0, 3.0, 2.0]),
                                          trials=50_000, seed=3)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mech, gamma", [("rw", None), ("adair", 1.5)])
+def test_empirical_estimate_does_not_depend_on_the_chunk_size(mech, gamma, monkeypatch):
+    # 70,000 trials span two keyed blocks; chunks of 7 rows of 5 cities cut
+    # both blocks at other rows than the default chunks do
+    p = np.array([0.4, 0.3, 0.2, 0.1, 0.0])
+    whole = empirical_selection_distribution(mech, p, gamma=gamma, trials=70_000, seed=4)
+    monkeypatch.setattr(oracle, "MC_CHUNK_ENTRIES", 35)
+    chunked = empirical_selection_distribution(mech, p, gamma=gamma, trials=70_000, seed=4)
+    assert np.array_equal(whole, chunked)
+
+
+@pytest.mark.parametrize("mech, gamma", [("rw", None), ("adair", 1.5)])
+def test_empirical_peak_does_not_grow_with_trials(mech, gamma):
+    # a chunk holds three 8-byte (trials, cities) blocks (deviates, scores,
+    # gather index) and a few (trials,) vectors, within four 8-byte blocks
+    # of MC_CHUNK_ENTRIES; a whole keyed block of 65,536 trials of 100
+    # cities would hold 157 MB
+    p = np.random.default_rng(0).random(100)
+    empirical_selection_distribution(mech, p, gamma=gamma, trials=10, seed=0)
+    peaks = []
+    for trials in (1_000, 300_000):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            empirical_selection_distribution(mech, p, gamma=gamma, trials=trials, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 32 * oracle.MC_CHUNK_ENTRIES

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from antbatch.tsplib import (
     BEST_KNOWN,
+    CoordinateOutOfRange,
     DimensionMismatch,
     DuplicateNodeId,
     MissingSection,
@@ -241,6 +244,33 @@ def test_distance_matrix_peaks_at_two_square_arrays(ewt):
     finally:
         tracemalloc.stop()
     assert peak - start <= 2.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("xy, message", [
+    ([(0.0, 0.0), (1.0, math.nan), (2.0, 2.0)],
+     "city 1 has coordinates (1.0, nan); coordinates must be finite"),
+    ([(0.0, 0.0), (2.0, 2.0), (-math.inf, 1.0)],
+     "city 2 has coordinates (-inf, 1.0); coordinates must be finite"),
+    ([(0.0, 0.0), (1e200, 1.0), (2.0, 2.0)],
+     "cities 0 and 1 lie 1e+200 apart on one axis; their squared distance overflows"),
+    # each span squares to 1e308, finite; their sum overflows
+    ([(0.0, 0.0), (1e154, 1e154), (2.0, 2.0)],
+     "cities 0 and 1 lie 1e+154 apart on one axis; their squared distance overflows"),
+], ids=["nan", "inf", "1e200", "sum"])
+@pytest.mark.parametrize("ewt", ["EUC_2D", "CEIL_2D", "ATT"])
+def test_distance_matrix_rejects_coordinates_out_of_range(xy, message, ewt):
+    # checked before any (n, n) pass, so numpy warns of no overflow first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CoordinateOutOfRange, match=f"^{re.escape(message)}$"):
+            distance_matrix(xy, ewt)
+
+
+def test_distance_matrix_accepts_spans_whose_squares_sum_in_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = distance_matrix([(0.0, 0.0), (1e153, 1e153), (0.0, 1e153)], "EUC_2D")
+    assert np.isfinite(d).all() and d[0, 1] > 1e153
 
 
 # round-trips ----------------------------------------------------------------
