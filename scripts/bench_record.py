@@ -8,7 +8,8 @@ untraced and once traced at the first seed, each for the ``run_seconds`` of
 DIR's BENCHMARK.json, and appends one entry to BENCH_<workload>.json at the
 root of this repository. The entry holds:
 
-- the sha from the runs' record, and their Python, numpy and cpu_count;
+- the sha from the runs' record, the date recorded, and the runs' Python,
+  numpy and cpu_count;
 - each end-to-end metric's values over the seeds, with their median and
   quartiles as perfbench/spread.py computes them;
 - the failed share of operations over all runs, whether every run was

@@ -409,28 +409,29 @@ def test_the_sequential_reference_peaks_within_the_size_checks_sequential_term(n
     assert peak - start <= _sequential_bytes(n, m) - 2 * 8 * n * n
 
 
-@pytest.mark.parametrize("mode", ["sequential", "both"])
-def test_scaling_checks_the_sequential_reference_unless_batched(mode, inst_path, capsys,
-                                                                monkeypatch):
+_SEQUENTIAL_TOO_LARGE = ("the sequential reference on n = 12 cities with m = 1000000 ants "
+                         "needs about 1.1 GiB of arrays, more than the address-space limit "
+                         "(1.0 GiB)")
+
+
+@pytest.mark.parametrize("mode, message", [("sequential", _SEQUENTIAL_TOO_LARGE),
+                                           ("both", _SEQUENTIAL_TOO_LARGE),
+                                           ("batched", "rnd12 loaded")])
+def test_scaling_checks_the_sequential_reference_unless_batched(mode, message, inst_path,
+                                                                capsys, monkeypatch):
     # at n = 12 a million ants fit the colony's count (0.7 GiB) under a
     # 1 GiB soft limit, but not the sequential reference's (1.1 GiB)
     real = resource.getrlimit
     monkeypatch.setattr(resource, "getrlimit", lambda which: (
         (1 << 30, resource.RLIM_INFINITY) if which == resource.RLIMIT_AS else real(which)))
-    monkeypatch.setattr("antbatch.cli.build_instance", _never_loaded)
-    rc = main(["scaling", "--instances", inst_path, "--ants", "1000000", "--mode", mode])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        "antbatch: error: the sequential reference on n = 12 cities with m = 1000000 ants "
-        "needs about 1.1 GiB of arrays, more than the address-space limit (1.0 GiB)\n")
 
     def loaded(raw, **kwargs):
         raise ValueError(f"{raw.name} loaded")
 
     monkeypatch.setattr("antbatch.cli.build_instance", loaded)
-    rc = main(["scaling", "--instances", inst_path, "--ants", "1000000", "--mode", "batched"])
+    rc = main(["scaling", "--instances", inst_path, "--ants", "1000000", "--mode", mode])
     assert rc == 2
-    assert capsys.readouterr().err == "antbatch: error: rnd12 loaded\n"
+    assert capsys.readouterr().err == f"antbatch: error: {message}\n"
 
 
 _PARSE_ONCE = {
