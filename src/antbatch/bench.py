@@ -21,6 +21,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Iterable
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
@@ -271,13 +272,17 @@ def _time_sequential_cell(inst: TspInstance, params: AcoParams, iterations: int,
     return times
 
 
-def run_scaling_study(instances: list[TspInstance], population_sizes: list[int],
+def run_scaling_study(instances: Iterable[TspInstance], population_sizes: list[int],
                       mode: str = "both", *, iterations: int = 3,
                       repetitions: int = 3, seed: int = 0,
                       selection: Selection = Selection.IR,
                       budget_ms: float | None = None,
                       clock=time.perf_counter) -> list[dict]:
     """Mean/std per-iteration wall time per (instance, m) cell.
+
+    ``instances`` is iterated once, in order, and no instance is used
+    after the next is drawn, so a generator that builds them holds one
+    instance's arrays while its cells run.
 
     Each repetition runs one warmup iteration (excluded) plus ``iterations``
     measured ones, with seed base+rep. mode is "batched", "sequential", or

@@ -33,6 +33,7 @@ from .bench import (
 )
 from .model import AcoParams, GammaSchedule, Selection, TspInstance, build_instance
 from .oracle import MC_CHUNK_ENTRIES
+from .selection import CHUNK, ROW_BLOCK_ENTRIES
 from .tsplib import RawTspFile, parse_instance
 
 # Time-limited runs still need an iteration cap for record bookkeeping.
@@ -171,13 +172,22 @@ def _default_params(args, default_iters: int, n: int) -> AcoParams:
 def _resident_bytes(n: int, m: int) -> int:
     """Bytes of the arrays a run holds at its peak: four 8-byte (n, n)
     arrays (the instance's dist, the colony's tau and p and the one an
-    iteration builds on top of them) and construction's arrays: seven
-    8-byte (m, n) blocks (candidates, deviates, scratch, gather index,
-    tours, and the rolled and gathered copies of ``batch_costs``), the pick
-    check's (m, n) bool mask and a few 8-byte (m,) vectors, counted as six.
-    Traced, one construction peaks at 7.2 8-byte (m, n) blocks at n = 60,
-    7.5 at n = 12 and 8.8 at n = 3; this count gives 7.2, 7.6 and 9.1."""
-    return 8 * (4 * n * n + 7 * m * n + 6 * m) + m * n
+    iteration builds on top of them, the log table of the argmax
+    mechanisms), their chunk tables (``top`` and ``topv``, (n, c) with
+    c = min(CHUNK, n - 1), and the (n,) bound), two 8-byte argpartition
+    row blocks of at most ``ROW_BLOCK_ENTRIES`` entries (or one row), and
+    construction's arrays. The argmax mechanisms hold five 8-byte (m, n)
+    blocks (tours, the visited penalty, and the fallback rows' deviates,
+    scores and gather index) and four (m, c) blocks (chunk cities,
+    deviates, scores, gather index); the wheel holds five (m, n) blocks
+    (candidates, deviates, scratch, gather index, tours) and an (m, n)
+    bool mask; ``batch_costs`` then holds tours and two (m, n) copies.
+    Each step's (m,) vectors are counted as ten. Traced, one argmax
+    construction peaks at 0.99 of the count's (m, ...) part at n = 60 and
+    m = 4000, 0.96 at n = 12 and 0.91 at n = 3."""
+    c = min(CHUNK, n - 1)
+    return (8 * (4 * n * n + 2 * n * c + n + 5 * m * n + 4 * m * c + 10 * m) + m * n
+            + 16 * max(ROW_BLOCK_ENTRIES, n))
 
 
 def _estimator_bytes(n: int) -> int:
@@ -190,15 +200,18 @@ def _estimator_bytes(n: int) -> int:
 
 def _sequential_bytes(n: int, m: int) -> int:
     """Bytes the scaling study's sequential reference holds at its peak: its
-    inputs dist and tau, and above them twelve 8-byte (n, n) arrays (its
-    transition matrix, the Python lists of that matrix and of dist at 32
-    bytes an entry, the deposit, the new pheromone and its copy), fourteen
-    8-byte (n,) rows for the lists' headers, and per ant ten 8-byte (n,)
-    rows (its deviate and candidate lists, its tour) and thirty words.
-    Traced, what it holds above its inputs is 0.99 of that part of the
-    count at n = 150 and m = 4, 0.91 at n = 40 and m = 300, and 0.98 at
-    n = 5 and m = 20000."""
-    return 8 * (14 * n * n + 14 * n + 10 * m * n + 30 * m)
+    inputs dist and tau, and above them eight 8-byte (n, n) arrays (its
+    transition matrix, the argmax mechanisms' log table, the Python lists of
+    the table the ants read and later of dist at 32 bytes an entry, the
+    deposit, the new pheromone and its copy), the argmax mechanisms' chunk
+    lists, nine words per (n, c) entry with c = min(CHUNK, n - 1),
+    twenty-five 8-byte (n,) rows for the lists' headers and the bound, and
+    per ant ten 8-byte (n,) rows (its visited flags, its tour, its rows of
+    the step blocks) and thirty words. Traced, what it holds above its
+    inputs is 0.88 of that part of the count at n = 300 and m = 4, 0.45 at
+    n = 5 and m = 20000, and 0.36 at n = 40 and m = 300."""
+    c = min(CHUNK, n - 1)
+    return 8 * (10 * n * n + 9 * n * c + 25 * n + 10 * m * n + 30 * m)
 
 
 def _memory_limit() -> tuple[int, str]:
@@ -220,20 +233,23 @@ def _check_fits(what: str, need: int, n: int, m: int) -> None:
             f"({limit / 2**30:.1f} GiB)")
 
 
-def _load(raw: RawTspFile, m: int, best_known: float | None = None,
-          lenient: bool = False, *, estimator: bool = False,
-          sequential: bool = False) -> TspInstance:
-    """``build_instance`` of the parsed file ``raw``, after checking from its
-    DIMENSION and the colony size m that a run's arrays, with the
-    estimator's chunk when ``estimator``, can fit in memory at all, and,
-    when ``sequential``, the sequential reference's, which runs after the
-    colony's arrays are gone; ValueError naming both sizes otherwise,
-    before anything is allocated."""
-    n = raw.dimension
+def _check_sizes(n: int, m: int, *, estimator: bool = False,
+                 sequential: bool = False) -> None:
+    """Check from a file's DIMENSION n and the colony size m that a run's
+    arrays, with the estimator's chunk when ``estimator``, can fit in
+    memory at all, and, when ``sequential``, the sequential reference's,
+    which runs after the colony's arrays are gone; ValueError naming both
+    sizes otherwise, before anything is allocated."""
     _check_fits("a run", _resident_bytes(n, m) + (_estimator_bytes(n) if estimator else 0),
                 n, m)
     if sequential:
         _check_fits("the sequential reference", _sequential_bytes(n, m), n, m)
+
+
+def _load(raw: RawTspFile, m: int, best_known: float | None = None,
+          lenient: bool = False, *, estimator: bool = False) -> TspInstance:
+    """``build_instance`` of the parsed file ``raw``, after ``_check_sizes``."""
+    _check_sizes(raw.dimension, m, estimator=estimator)
     return build_instance(raw, best_known=best_known, lenient=lenient)
 
 
@@ -292,12 +308,14 @@ def _cmd_scaling(args) -> int:
             raise ValueError(f"--ants: {tok.strip()!r} is not an integer") from None
     if not sizes:
         raise ValueError("--ants needs at least one colony size")
-    instances = [_load(_read(path), max(sizes), lenient=args.lenient,
-                       sequential=args.mode != "batched")
-                 for path in args.instances]
+    # every file is parsed and size-checked first; each instance's distances
+    # are built when its cells start, so that one is held at a time
+    raws = [_read(path) for path in args.instances]
+    for raw in raws:
+        _check_sizes(raw.dimension, max(sizes), sequential=args.mode != "batched")
     rows = run_scaling_study(
-        instances, sizes, args.mode, iterations=args.iterations,
-        repetitions=args.reps, seed=args.seed,
+        (build_instance(raw, lenient=args.lenient) for raw in raws), sizes, args.mode,
+        iterations=args.iterations, repetitions=args.reps, seed=args.seed,
         selection=args.selection, budget_ms=args.budget_ms)
     return _write_rows(rows, SCALING_COLUMNS, args.out)
 

@@ -37,8 +37,10 @@ from .model import (
     TspInstance,
 )
 from .selection import (
+    CHUNK,
     AllZeroWeights,
     argmax_select_block,
+    candidate_chunks,
     gamma_at,
     rw_spin_block,
     scaled_log_weights,
@@ -149,89 +151,149 @@ def _no_positive_weight(ant: int, iteration: int, step: int) -> str:
             f"{iteration}, step {step}")
 
 
+def _sequential_spins(rows: list, tours: list, g, n: int, iteration: int) -> None:
+    """The wheel's picks, appended to each ant's tour ``tours[a]``: every ant
+    keeps its unvisited cities in the first n - step entries of its
+    candidate list, scans them in list order and swaps its pick to the last
+    of them, as the pipeline's candidate block does."""
+    m = len(tours)
+    cands = [list(range(n)) for _ in range(m)]
+    for a in range(m):
+        cand, s0 = cands[a], tours[a][0]
+        cand[s0], cand[n - 1] = cand[n - 1], cand[s0]
+    for step in range(1, n):
+        r = n - step
+        u = rng.step_uniforms(g, m, r)
+        for a in range(m):
+            row = rows[tours[a][-1]]
+            cand = cands[a]
+            ua = u[a]
+            total = 0.0
+            for j in range(r):
+                total += row[cand[j]]
+            if not total > 0.0:
+                raise AllZeroWeights(_no_positive_weight(a, iteration, step))
+            pick = -1
+            run = 0.0
+            for j in range(r):
+                run += row[cand[j]]
+                if run / total > ua:
+                    pick = j
+                    break
+            if pick < 0:
+                # threshold at or past the total: last positive weight
+                for j in range(r - 1, -1, -1):
+                    if row[cand[j]] > 0.0:
+                        pick = j
+                        break
+            choice = cand[pick]
+            cand[pick], cand[r - 1] = cand[r - 1], choice
+            tours[a].append(choice)
+
+
+def _sequential_argmax(table: np.ndarray, tours: list, g, n: int, iteration: int) -> None:
+    """The argmax mechanisms' picks from the log table ``table``, appended
+    to each ant's tour ``tours[a]``. While more than c = min(CHUNK, n - 1)
+    cities are unvisited, each step draws the (m, c) chunk block and scans
+    every ant's chunk of its current row from ``selection.candidate_chunks``
+    (a visited city scores -inf); then each ant whose best chunk score is
+    not above its row's bound scans all n cities in index order, with its
+    row of the (f, n) block the step draws for those ants, in ant order, in
+    which its chunk cities keep their chunk deviates. The last c steps draw
+    (m, r) blocks and scan each ant's r unvisited cities, listed in
+    ascending order when c were left, each pick swapped to the list's last
+    unvisited position."""
+    m = len(tours)
+    c = min(CHUNK, n - 1)
+    top, topv, bound = (x.tolist() for x in candidate_chunks(table, c))
+    rows = table.tolist()
+    visited = [bytearray(n) for _ in tours]
+    for a, tour in enumerate(tours):
+        visited[a][tour[0]] = 1
+    for step in range(1, n - c):
+        e_chunk = rng.step_exponentials(g, m, c)
+        picks, fall = [], []
+        for a in range(m):
+            cur, e, seen = tours[a][-1], e_chunk[a].tolist(), visited[a]
+            best = -math.inf
+            pick = -1
+            for j in range(c):
+                city = top[cur][j]
+                s = -math.inf if seen[city] else topv[cur][j] - e[j]
+                if s > best:
+                    best = s
+                    pick = city
+            picks.append(pick)
+            if not best > bound[cur]:
+                fall.append(a)
+        e_full = rng.step_exponentials(g, len(fall), n) if fall else []
+        for a, e in zip(fall, e_full):
+            cur, seen, e = tours[a][-1], visited[a], e.tolist()
+            row = rows[cur]
+            for j in range(c):
+                e[top[cur][j]] = float(e_chunk[a, j])
+            best = -math.inf
+            pick = -1
+            for city in range(n):
+                if not seen[city]:
+                    s = row[city] - e[city]
+                    if s > best:
+                        best = s
+                        pick = city
+            if pick < 0:
+                raise AllZeroWeights(_no_positive_weight(a, iteration, step))
+            picks[a] = pick
+        for a in range(m):
+            tours[a].append(picks[a])
+            visited[a][picks[a]] = 1
+
+    cands = [[city for city in range(n) if not seen[city]] for seen in visited]
+    for step in range(n - c, n):
+        r = n - step
+        e_block = rng.step_exponentials(g, m, r).tolist()
+        for a in range(m):
+            row, e, cand = rows[tours[a][-1]], e_block[a], cands[a]
+            best = -math.inf
+            pick = -1
+            for j in range(r):
+                s = row[cand[j]] - e[j]
+                if s > best:
+                    best = s
+                    pick = j
+            if pick < 0:
+                raise AllZeroWeights(_no_positive_weight(a, iteration, step))
+            choice = cand[pick]
+            cand[pick], cand[r - 1] = cand[r - 1], choice
+            tours[a].append(choice)
+
+
 def sequential_aco_step(tau: PheromoneState, inst: TspInstance, params: AcoParams,
                         iteration: int) -> tuple[TourBatch, PheromoneState]:
     """One full colony iteration with plain nested loops and no batching.
 
     Same keyed random blocks as the pipeline, one ant and one city at a
     time: builds the transition matrix by scalar double loop, walks each ant
-    through its n-1 selections with per-city Python arithmetic over its
-    list of unvisited cities (scanned in list order, the pick swapped to
-    the list's last unvisited position, as the pipeline's candidate block
-    does), sorts for the elite, deposits edge by edge, and evaporates cell
-    by cell. Tours must match the batched pipeline bit for bit (a scalar
-    running sum retraces the wheel kernel's cumsum, a strict-greater scan
-    retraces the argmax kernel's first-of-ties choice); pheromone within
-    1e-12 relative (the scalar matrix arithmetic differs from the vectorized
-    one by ulps). Raises AllZeroWeights when every unvisited city of an ant
-    has weight zero.
+    through its n-1 selections with per-city Python arithmetic
+    (``_sequential_spins``, ``_sequential_argmax``), sorts for the elite,
+    deposits edge by edge, and evaporates cell by cell. Tours must match
+    the batched pipeline bit for bit (a scalar running sum retraces the
+    wheel kernel's cumsum, a strict-greater scan retraces the argmax
+    kernel's first-of-ties choice); pheromone within 1e-12 relative (the
+    scalar matrix arithmetic differs from the vectorized one by ulps).
+    Raises AllZeroWeights when every unvisited city of an ant has weight
+    zero.
     """
     n, m = inst.n, params.m
     mech = params.selection
     gamma = gamma_at(iteration, params.gamma_schedule) if mech is Selection.ADAIR else 1.0
 
     p = scalar_probability_reference(tau, inst, params)
-    if mech is Selection.RW:
-        rows = p.tolist()
-    else:
-        rows = scaled_log_weights(p, gamma).tolist()
-
     starts, g = rng.construction_draws(params.seed, iteration, m, n)
-    tours = [[int(starts[a])] for a in range(m)]
-    # each ant's unvisited cities are the first n - step entries of its
-    # candidate list; a pick is swapped to the last of them
-    cands = [list(range(n)) for _ in range(m)]
-    for a in range(m):
-        cand, s0 = cands[a], tours[a][0]
-        cand[s0], cand[n - 1] = cand[n - 1], cand[s0]
-
-    for step in range(1, n):
-        r = n - step
-        if mech is Selection.RW:
-            u = rng.step_uniforms(g, m, r)
-            for a in range(m):
-                row = rows[tours[a][-1]]
-                cand = cands[a]
-                ua = u[a]
-                total = 0.0
-                for j in range(r):
-                    total += row[cand[j]]
-                if not total > 0.0:
-                    raise AllZeroWeights(_no_positive_weight(a, iteration, step))
-                pick = -1
-                run = 0.0
-                for j in range(r):
-                    run += row[cand[j]]
-                    if run / total > ua:
-                        pick = j
-                        break
-                if pick < 0:
-                    # threshold at or past the total: last positive weight
-                    for j in range(r - 1, -1, -1):
-                        if row[cand[j]] > 0.0:
-                            pick = j
-                            break
-                choice = cand[pick]
-                cand[pick], cand[r - 1] = cand[r - 1], choice
-                tours[a].append(choice)
-        else:
-            e_block = rng.step_exponentials(g, m, r).tolist()
-            for a in range(m):
-                row = rows[tours[a][-1]]
-                e = e_block[a]
-                cand = cands[a]
-                best = -math.inf
-                pick = -1
-                for j in range(r):
-                    s = row[cand[j]] - e[j]
-                    if s > best:
-                        best = s
-                        pick = j
-                if pick < 0:
-                    raise AllZeroWeights(_no_positive_weight(a, iteration, step))
-                choice = cand[pick]
-                cand[pick], cand[r - 1] = cand[r - 1], choice
-                tours[a].append(choice)
+    tours = [[int(s)] for s in starts]
+    if mech is Selection.RW:
+        _sequential_spins(p.tolist(), tours, g, n, iteration)
+    else:
+        _sequential_argmax(scaled_log_weights(p, gamma), tours, g, n, iteration)
 
     d = inst.dist.tolist()
     costs = np.empty(m)

@@ -4,17 +4,17 @@ same key always yields the same values, no generator is shared between
 calls or threads, and distinct domains never share a stream.
 
 Construction: ``construction_draws`` keys one SFC64 generator per
-(seed, iteration). It draws the start cities, then each step draws one
-(m, n - step) block of Exp(1) deviates from it, in step order, one row per
-ant and one deviate per unvisited city. Every selection mechanism consumes
-the same block: the argmax mechanisms read the full row, the roulette
-wheel one element per row through the uniform view u = exp(-E). Switching
-mechanisms therefore never changes the randomness a step draws, and timing
-comparisons between mechanisms isolate kernel cost rather than
-deviate-generation cost. An iteration can be replayed in isolation; a step
-cannot, since its block follows the earlier steps' blocks. The step blocks
-are the hot path, so the generator is SFC64, which draws them in about
-half of Philox's time.
+(seed, iteration). It draws the start cities, then the steps' blocks of
+Exp(1) deviates, in step order, one row per ant. The roulette wheel's step
+draws one (m, n - step) block, one deviate per unvisited city, and reads
+one element per row through the uniform view u = exp(-E). The argmax
+mechanisms' step draws an (m, c) block for the ants' chunks of c table
+entries, then an (f, n) block for the f ants whose chunk does not decide,
+in ant order (``colony.construct_tours``). So the deviates a step draws
+depend on the mechanism and, for the argmax mechanisms, on the table. An
+iteration can be replayed in isolation; a step cannot, since its blocks
+follow the earlier steps' blocks. The step blocks are the hot path, so
+the generator is SFC64, which draws them in about half of Philox's time.
 
 Monte-Carlo estimation: ``mc_stream`` keys one Philox generator per
 (seed, trial block). Pinned outputs (the tours of every run, the
@@ -52,10 +52,11 @@ def step_exponentials(g: np.random.Generator, m: int, n: int,
     """Exp(1) deviate block for one construction step, shape (m, n).
 
     ``g`` is the iteration's generator from ``construction_draws``, and the
-    block is its next ``standard_exponential((m, n))``. Row a belongs to
-    ant a; the colony passes the number of unvisited cities, n - step, as
-    ``n``. Used by the argmax-based selection mechanisms; with r = exp(-E)
-    these are i.i.d. uniforms on the open interval (0, 1).
+    block is its next ``standard_exponential((m, n))``, one row per ant:
+    the wheel's step passes the number of unvisited cities, n - step, as
+    ``n``; the argmax mechanisms' step passes the chunk width, then the
+    number of cities for its fallback rows. With r = exp(-E) these are
+    i.i.d. uniforms on the open interval (0, 1).
 
     With ``out``, a C-contiguous float64 (m, n) array, the block is drawn
     into it and ``out`` is returned, bitwise the block drawn without it;
@@ -68,12 +69,12 @@ def step_uniforms(g: np.random.Generator, m: int, n: int,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Uniform(0,1) threshold per ant for one construction step, shape (m,).
 
-    The uniform view of the step's deviate block: u = exp(-E) of the first
-    column of the (m, n) block the argmax mechanisms draw, so a step's
-    draws do not depend on the mechanism. The lockstep pipeline and the
-    sequential reference both call this one function, which keeps their
-    thresholds bit-identical. ``out`` is passed on to
-    ``step_exponentials``; the thresholds are the same with it and without.
+    The uniform view u = exp(-E) of the first column of the step's (m, n)
+    block from ``step_exponentials``, n being the number of unvisited
+    cities. The lockstep pipeline and the sequential reference both call
+    this one function, which keeps their thresholds bit-identical. ``out``
+    is passed on to ``step_exponentials``; the thresholds are the same with
+    it and without.
     """
     return np.exp(-step_exponentials(g, m, n, out)[:, 0])
 

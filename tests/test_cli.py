@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from antbatch import rng
 from antbatch.bench import (
     config_to_dict,
     ExperimentConfig,
@@ -281,9 +282,10 @@ _TOO_MANY_ANTS = {
     "shift-study": ["shift-study", "{inst}", "--ants", "5000000", "--iters", "1"],
     "convergence": ["convergence", "{inst}", "--ants", "5000000", "--iters", "1"],
 }
-# 8 * (4 * 12**2 + 7 * 5000000 * 12 + 6 * 5000000) + 5000000 * 12 bytes
+# 8 * (4 * 12**2 + 2 * 12 * 11 + 12 + 5 * 5000000 * 12 + 4 * 5000000 * 11
+# + 10 * 5000000) + 5000000 * 12 + 16 * 2**15 bytes
 _TOO_LARGE = ("antbatch: error: a run on n = 12 cities with m = 5000000 ants needs "
-              "about 3.4 GiB of arrays, more than {what} (1.0 GiB)\n")
+              "about 4.3 GiB of arrays, more than {what} (1.0 GiB)\n")
 
 
 def _never_loaded(raw, **kwargs):
@@ -409,6 +411,58 @@ def test_the_sequential_reference_peaks_within_the_size_checks_sequential_term(n
     assert peak - start <= _sequential_bytes(n, m) - 2 * 8 * n * n
 
 
+def test_a_scaling_run_holds_one_instance_at_a_time(tmp_path):
+    # each instance is built when its cells start, so three files peak
+    # within one run's count, as one file does (the ufunc buffer of the row
+    # normalization besides); holding every instance's distances for the
+    # whole grid peaked at 6.08 (n, n) arrays against 4.08 for one file
+    path = os.path.join(PKG_DATA, "rnd442.tsp")
+    out = str(tmp_path / "scaling.csv")
+
+    def run(*paths):
+        assert main(["scaling", "--instances", *paths, "--ants", "2", "--mode", "batched",
+                     "--iterations", "1", "--reps", "1", "--out", out]) == 0
+
+    run(path)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run(path, path, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(read(out).splitlines()) == 4
+    assert peak - start <= _resident_bytes(442, 2) + 8 * np.getbufsize()
+
+
+@pytest.mark.parametrize("mech", [Selection.IR, Selection.ADAIR])
+def test_a_construction_that_falls_back_peaks_within_the_size_check(mech, monkeypatch):
+    # n = 100 > CHUNK + 1, so some steps draw and score fallback rows; above
+    # its inputs dist and p (and tau, which a run holds), one construction
+    # peaks within the count, log table and chunk tables included
+    n, m = 100, 3000
+    inst = build_instance(make_synthetic_instance(n, seed=1))
+    params = AcoParams.for_instance(m, selection=mech)
+    p = compute_probability_matrix(PheromoneState.initial(n, 1.0), inst, params)
+    widths = []
+    real = rng.step_exponentials
+
+    def spy(g, mm, r, out=None):
+        widths.append(r)
+        return real(g, mm, r, out)
+
+    monkeypatch.setattr(rng, "step_exponentials", spy)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        construct_tours(p, inst, params, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert widths.count(n) > 0
+    assert peak - start <= _resident_bytes(n, m) - 3 * 8 * n * n
+
+
 _SEQUENTIAL_TOO_LARGE = ("the sequential reference on n = 12 cities with m = 1000000 ants "
                          "needs about 1.1 GiB of arrays, more than the address-space limit "
                          "(1.0 GiB)")
@@ -419,7 +473,7 @@ _SEQUENTIAL_TOO_LARGE = ("the sequential reference on n = 12 cities with m = 100
                                            ("batched", "rnd12 loaded")])
 def test_scaling_checks_the_sequential_reference_unless_batched(mode, message, inst_path,
                                                                 capsys, monkeypatch):
-    # at n = 12 a million ants fit the colony's count (0.7 GiB) under a
+    # at n = 12 a million ants fit the colony's count (0.9 GiB) under a
     # 1 GiB soft limit, but not the sequential reference's (1.1 GiB)
     real = resource.getrlimit
     monkeypatch.setattr(resource, "getrlimit", lambda which: (

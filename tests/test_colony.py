@@ -28,7 +28,7 @@ from antbatch.model import (
 )
 from antbatch.oracle import sequential_aco_step
 from antbatch.pheromone import accumulate_increments, apply_update, select_elite
-from antbatch.selection import AllZeroWeights, gamma_at, scaled_log_weights
+from antbatch.selection import CHUNK, AllZeroWeights, gamma_at, scaled_log_weights
 
 from conftest import random_metric_instance, tour_cost
 
@@ -178,24 +178,43 @@ def test_construct_tours_builds_one_seed_sequence(mech, monkeypatch):
 
 @pytest.mark.parametrize("mech", list(Selection))
 def test_construct_tours_draws_every_step_into_one_block(mech, monkeypatch):
-    # step s draws the (m, n - s) block of the ants' candidates, each into
-    # a prefix of one buffer: m * n * (n - 1) / 2 deviates in all
-    inst = make(12, seed=5)
-    params = params_for(inst, mech, m=3)
-    p = compute_probability_matrix(PheromoneState.initial(12, 1.0), inst, params)
+    # The wheel's step s draws the (m, n - s) block of the ants' candidates,
+    # each into a prefix of one buffer: m * n * (n - 1) / 2 deviates in all.
+    # The argmax mechanisms' step draws an (m, CHUNK) block into one buffer,
+    # then, when f ants' chunks do not decide, an (f, n) block into a prefix
+    # of another; their last CHUNK steps draw (m, r) blocks, r = CHUNK, ...,
+    # 1, into prefixes of the first. At n = 120 > CHUNK + 1 some steps fall
+    # back.
+    n, m = (12, 3) if mech is Selection.RW else (120, 4)
+    inst = make(n, seed=5)
+    params = params_for(inst, mech, m=m)
+    p = compute_probability_matrix(PheromoneState.initial(n, 1.0), inst, params)
     expected = construct_tours(p, inst, params, iteration=2)
     blocks = []
     real = rng.step_exponentials
 
-    def spy(g, m, n, out=None):
+    def spy(g, rows, cols, out=None):
         blocks.append(out)
-        return real(g, m, n, out)
+        return real(g, rows, cols, out)
 
     monkeypatch.setattr(rng, "step_exponentials", spy)
     batch = construct_tours(p, inst, params, iteration=2)
-    assert [b.shape for b in blocks] == [(3, 12 - step) for step in range(1, 12)]
-    assert all(np.shares_memory(b, blocks[0]) for b in blocks)
-    assert sum(b.size for b in blocks) == 3 * 12 * 11 // 2
+    if mech is Selection.RW:
+        assert [b.shape for b in blocks] == [(3, 12 - step) for step in range(1, 12)]
+        assert all(np.shares_memory(b, blocks[0]) for b in blocks)
+        assert sum(b.size for b in blocks) == 3 * 12 * 11 // 2
+    else:
+        steps = [b for b in blocks if b.shape[1] != n]
+        falls = [b for b in blocks if b.shape[1] == n]
+        assert [b.shape for b in steps] == \
+            [(m, CHUNK)] * (n - 1 - CHUNK) + [(m, r) for r in range(CHUNK, 0, -1)]
+        assert falls and all(1 <= b.shape[0] <= m for b in falls)
+        # a fallback block follows its step's chunk block
+        assert all(prev.shape == (m, CHUNK) for prev, b in zip(blocks, blocks[1:])
+                   if b.shape[1] == n)
+        assert max(i for i, b in enumerate(blocks) if b.shape[1] == n) < len(blocks) - CHUNK
+        assert all(np.shares_memory(b, steps[0]) for b in steps)
+        assert all(np.shares_memory(b, falls[0]) for b in falls)
     assert np.array_equal(batch.tours, expected.tours)
 
 
@@ -243,6 +262,7 @@ def test_construct_tours_steps_allocate_no_block(mech, monkeypatch):
     assert m * 300 > bound
     growth = []
     base = []
+    widths = []
     real = rng.step_exponentials
 
     def spy(g, mm, r, out=None):
@@ -251,6 +271,7 @@ def test_construct_tours_steps_allocate_no_block(mech, monkeypatch):
             growth.append(peak - base[-1])
         tracemalloc.reset_peak()
         base.append(current)
+        widths.append(r)
         return real(g, mm, r, out)
 
     monkeypatch.setattr(rng, "step_exponentials", spy)
@@ -259,7 +280,11 @@ def test_construct_tours_steps_allocate_no_block(mech, monkeypatch):
         construct_tours(p, inst, params, iteration=0)
     finally:
         tracemalloc.stop()
-    assert len(growth) == n - 2
+    # the wheel draws once a step; the argmax mechanisms draw a block of
+    # at most CHUNK columns a step, and a fallback block of n columns on the
+    # steps where some chunk does not decide
+    steps = len(widths) if mech is Selection.RW else sum(r <= CHUNK for r in widths)
+    assert steps == n - 1 and len(growth) == len(widths) - 1
     assert max(growth) <= bound
 
 
@@ -397,6 +422,31 @@ def test_all_zero_weights_check_matches_the_oracle(case, seed, n, m, zero_share)
                                   want.tours)
 
 
+@pytest.mark.parametrize("mech", [Selection.IR, Selection.ADAIR])
+@given(st.integers(0, 2**32 - 1), st.integers(CHUNK + 2, CHUNK + 12), st.integers(1, 4),
+       st.sampled_from([0.0, 0.5, 0.9]))
+@settings(max_examples=25, deadline=None)
+def test_all_zero_weights_past_the_chunk_match_the_oracle(mech, seed, n, m, zero_share):
+    # as above on n > CHUNK + 1, where a fallback row raises: the pipeline
+    # and the oracle name the same ant and step, or neither raises and the
+    # tours agree
+    g = np.random.default_rng(seed)
+    inst = make(n, seed=seed)
+    tau = g.uniform(0.2, 3.0, (n, n)) * (g.random((n, n)) >= zero_share)
+    tau[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    tau = PheromoneState(tau=tau)
+    params = params_for(inst, mech, m=m, k=1, seed=seed)
+    prob = compute_probability_matrix(tau, inst, params)
+    try:
+        want = sequential_aco_step(tau, inst, params, 0)[0]
+    except AllZeroWeights as e:
+        with pytest.raises(AllZeroWeights) as got:
+            construct_tours(prob, inst, params, 0)
+        assert str(got.value).startswith(f"{e}: ")
+    else:
+        assert np.array_equal(construct_tours(prob, inst, params, 0).tours, want.tours)
+
+
 # iteration -------------------------------------------------------------------
 
 @pytest.mark.parametrize("mech", list(Selection))
@@ -419,15 +469,18 @@ def test_iterate_chains_the_pipeline_in_order(mech):
 
 
 # Tours, costs, tau and the transition matrix of three iterations on a
-# 20-city instance, recorded when construction moved to one keyed SFC64
-# per iteration, drawn in step order (every step block and start city, so
-# every tour's bits, changed). The digests are of float
+# 20-city instance: rw's recorded when construction moved to one keyed
+# SFC64 per iteration, drawn in step order (every step block and start
+# city, so every tour's bits, changed); ir's and adair's when they moved
+# to chunk, bound and fallback rows (on 20 cities every step is a last-c
+# step, which scans each ant's unvisited cities in a new order). The
+# digests are of float
 # bits, so they assume IEEE doubles and the numpy/libm results of an x86-64
 # Linux build.
 ITERATE_DIGESTS = {
     "rw": "cba70640f8df268b13074cd1c4a5b201d6784502743cf73878696eb9afbc15ad",
-    "ir": "476d3c42bc6a76eecc095ceeb7682d4eb9a91e08395e853fc6885a9a455267bb",
-    "adair": "4e05d0014206b04ea70f97fe7975c5add59c1e9198f3606c2ecf37b7fad50184",
+    "ir": "ac63a4676f00ee050057649092c18c6cd36588ffc93385b45f8e9176e43caf6a",
+    "adair": "f3f976595623fcf54eac1742ec8f0bf62de74210600337c10b99bde3b94771f0",
 }
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from antbatch.colony import Colony, compute_probability_matrix
-from antbatch.model import AcoParams, PheromoneState, Selection, build_instance
-from antbatch import oracle
+from antbatch.model import AcoParams, GammaSchedule, PheromoneState, Selection, build_instance
+from antbatch import oracle, rng
 from antbatch.oracle import (
     InstanceTooLarge,
     brute_force_tsp,
@@ -16,7 +16,7 @@ from antbatch.oracle import (
     sequential_increment_sum,
 )
 from antbatch.pheromone import accumulate_increments
-from antbatch.selection import AllZeroWeights
+from antbatch.selection import CHUNK, AllZeroWeights
 from antbatch.tsplib import parse_instance
 
 from conftest import euclidean_instance, load_bundled, random_metric_instance, tour_cost
@@ -140,6 +140,33 @@ def test_sequential_step_matches_pipeline_at_high_beta(mech, beta):
         assert np.array_equal(batch.tours, oracle_batch.tours)
         assert np.array_equal(batch.costs, oracle_batch.costs)
         assert np.allclose(colony.tau.tau, tau_oracle.tau, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mech", list(Selection))
+def test_sequential_step_matches_pipeline_past_the_chunk(mech, monkeypatch):
+    # n = 120 > CHUNK + 1 at the default beta: the ants whose chunk of
+    # CHUNK cities does not decide fall back to all n cities, on both sides
+    n = 120
+    inst = random_metric_instance(np.random.default_rng(5), n)
+    params = AcoParams(m=4, k=2, selection=mech, seed=8,
+                       gamma_schedule=GammaSchedule(period=4))
+    widths = []
+    real = rng.step_exponentials
+
+    def spy(g, m, r, out=None):
+        widths.append(r)
+        return real(g, m, r, out)
+
+    monkeypatch.setattr(rng, "step_exponentials", spy)
+    colony = Colony(inst, params)
+    for it in range(4):
+        oracle_batch, tau_oracle = sequential_aco_step(colony.tau, inst, params, it)
+        batch = colony.iterate(it)
+        assert np.array_equal(batch.tours, oracle_batch.tours)
+        assert np.array_equal(batch.costs, oracle_batch.costs)
+        assert np.allclose(colony.tau.tau, tau_oracle.tau, rtol=1e-12, atol=0.0)
+    if mech is not Selection.RW:
+        assert CHUNK + 1 < n and widths.count(n) > 0
 
 
 # Monte-Carlo selection distributions ------------------------------------------

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
-from antbatch import rng
+from antbatch import rng, selection
 from antbatch.model import GammaSchedule
 from antbatch.selection import (
     argmax_select_block,
+    candidate_chunks,
     gamma_at,
     rw_spin_block,
     scaled_log_weights,
@@ -211,6 +212,78 @@ def test_argmax_select_block_is_the_masked_argmax(data):
     rows = np.arange(m)
     assert np.array_equal(scratch[rows, got] == -np.inf,
                           np.all(table[current[:, None], cand[:, :r]] == -np.inf, axis=1))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_chunk_step_picks_the_full_masked_argmax(data):
+    # candidate_chunks and one step of the colony's chunk, bound and
+    # fallback rule, outside the colony: a chunk score strictly above its
+    # row's bound picks the city the masked argmax over all n cities picks
+    # under the same deviates, and a chunk whose cities are all visited or
+    # all -inf never decides; a row it does not decide takes the argmax
+    # over all n cities, and its score there is -inf exactly when no
+    # unvisited city has weight
+    n = data.draw(st.integers(3, 12))
+    c = data.draw(st.sampled_from(sorted({1, 2, n - 1})))
+    m = data.draw(st.integers(1, 6))
+    table = data.draw(arrays(np.float64, (n, n), elements=_LOG_WEIGHTS))
+    if data.draw(st.booleans()):
+        table[data.draw(st.integers(0, n - 1))] = -np.inf
+    top, topv, bound = candidate_chunks(table, c)
+    current = data.draw(arrays(np.int64, m, elements=st.integers(0, n - 1)))
+    visited = data.draw(arrays(np.bool_, (m, n)))
+    visited[np.arange(m), current] = True
+    deviates = data.draw(arrays(np.float64, (m, n), elements=_DEVIATES))
+    deviates += np.where(visited, np.inf, 0.0)
+    full = table[current] - deviates
+    expected = full.argmax(1)
+    rows = np.arange(m)
+
+    chunk = top[current]
+    scratch, index = _blocks(m, c)
+    pos = argmax_select_block(topv, current, np.take_along_axis(deviates, chunk, 1),
+                              np.broadcast_to(np.arange(c), (m, c)), scratch, index)
+    decided = scratch[rows, pos] > bound[current]
+    assert np.array_equal(chunk[rows, pos][decided], expected[decided])
+    dead_chunk = np.all(np.take_along_axis(visited, chunk, 1)
+                        | (np.take_along_axis(table[current], chunk, 1) == -np.inf), axis=1)
+    assert not np.any(decided & dead_chunk)
+
+    scratch, index = _blocks(m, n)
+    won = argmax_select_block(table, current, deviates, np.broadcast_to(np.arange(n), (m, n)),
+                              scratch, index)
+    assert np.array_equal(won[~decided], expected[~decided])
+    assert np.array_equal(scratch[rows, won] == -np.inf,
+                          np.all(visited | (table[current] == -np.inf), axis=1))
+
+
+def test_candidate_chunks_are_each_rows_largest_entries():
+    g = np.random.default_rng(5)
+    table = np.round(g.normal(size=(40, 40)), 1)  # with ties
+    table[3] = -np.inf
+    table[7, :30] = -np.inf
+    top, topv, bound = candidate_chunks(table, 16)
+    assert np.all(np.diff(top, axis=1) > 0)
+    assert np.array_equal(topv, np.take_along_axis(table, top, 1))
+    ranked = np.sort(table, axis=1)
+    assert np.array_equal(np.sort(topv, axis=1), ranked[:, -16:])
+    assert np.array_equal(bound, ranked[:, -17])
+    assert bound[3] == -np.inf
+
+
+def test_candidate_chunks_do_not_depend_on_the_row_block(monkeypatch):
+    table = np.log(np.random.default_rng(6).random((50, 50)))
+    want = candidate_chunks(table, 8)
+    monkeypatch.setattr(selection, "ROW_BLOCK_ENTRIES", 1)  # one row a block
+    for a, b in zip(candidate_chunks(table, 8), want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("c", [0, 40])
+def test_candidate_chunks_reject_a_chunk_outside_the_row(c):
+    with pytest.raises(ValueError, match=rf"chunk must be in \[1, 39\], got {c}"):
+        candidate_chunks(np.zeros((40, 40)), c)
 
 
 def test_power_domain_and_log_domain_agree():
