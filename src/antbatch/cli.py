@@ -179,12 +179,12 @@ def _resident_bytes(n: int, m: int) -> int:
     construction's arrays. The argmax mechanisms hold five 8-byte (m, n)
     blocks (tours, the visited penalty, and the fallback rows' deviates,
     scores and gather index) and four (m, c) blocks (chunk cities,
-    deviates, scores, gather index); the wheel holds five (m, n) blocks
-    (candidates, deviates, scratch, gather index, tours) and an (m, n)
-    bool mask; ``batch_costs`` then holds tours and two (m, n) copies.
-    Each step's (m,) vectors are counted as ten. Traced, one argmax
-    construction peaks at 0.99 of the count's (m, ...) part at n = 60 and
-    m = 4000, 0.96 at n = 12 and 0.91 at n = 3."""
+    deviates, scores, gather index), which bound the wheel's four (m, n)
+    blocks (candidates, scratch, gather index, tours), its (m, n) bool mask
+    and its (m,) thresholds; ``batch_costs`` then holds tours and two
+    (m, n) copies. Each step's (m,) vectors are counted as ten. Traced,
+    one argmax construction peaks at 0.99 of the count's (m, ...) part at
+    n = 60 and m = 4000, 0.96 at n = 12 and 0.91 at n = 3."""
     c = min(CHUNK, n - 1)
     return (8 * (4 * n * n + 2 * n * c + n + 5 * m * n + 4 * m * c + 10 * m) + m * n
             + 16 * max(ROW_BLOCK_ENTRIES, n))

@@ -11,9 +11,9 @@ The roulette wheel keeps each ant's unvisited cities in the first n - s
 columns of one (m, n) candidate block at step s; the pick is swap-removed
 to the last of those columns, so the block ends as the reversed tours and
 no step touches more than the (m, n - s) candidates. Step s draws one
-(m, n - s) deviate block, reads one threshold per ant (the uniform view of
-its first column) and runs all spins in lockstep through
-``selection.rw_spin_block``, a row-wise prefix-sum kernel.
+threshold per ant, an (m, 1) deviate block through its uniform view, and
+runs all spins in lockstep through ``selection.rw_spin_block``, a row-wise
+prefix-sum kernel.
 
 The argmax mechanisms select by bounded independent roulette. Once per
 iteration ``selection.candidate_chunks`` takes each row's CHUNK largest
@@ -155,32 +155,30 @@ def _spin_tours(table: np.ndarray, n: int, params: AcoParams, iteration: int) ->
     cand = np.tile(np.arange(n), (m, 1))
     cand.ravel()[np.arange(m) * n + current] = n - 1
     cand[:, n - 1] = current
-    deviates, scratch = np.empty(m * n), np.empty(m * n)
+    deviates, scratch = np.empty((m, 1)), np.empty(m * n)
     index = np.empty(m * n, dtype=np.int64)
-    # 0/0 in the wheel's CDF is an all-zero row, reported below
-    with np.errstate(invalid="ignore"):
-        _scan_steps(table, rw_spin_block, rng.step_uniforms, cand, n - 1, current, g,
-                    deviates, scratch, index)
+    _scan_steps(table, rw_spin_block, lambda r: rng.step_uniforms(g, m, out=deviates),
+                cand, n - 1, current, scratch, index)
     tours = np.ascontiguousarray(cand[:, ::-1])
     _check_picks(table, tours, 0.0, iteration, scratch, index)
     return tours
 
 
 def _scan_steps(table: np.ndarray, kernel, draw, cand: np.ndarray, r0: int,
-                current: np.ndarray, g: np.random.Generator, deviates: np.ndarray,
-                scratch: np.ndarray, index: np.ndarray) -> None:
+                current: np.ndarray, scratch: np.ndarray, index: np.ndarray) -> None:
     """r0 steps over compacted candidates: each ant keeps its unvisited
     cities in the first r columns of the C-contiguous block ``cand``,
-    r = r0, ..., 1. A step draws its (m, r) block with ``draw`` into a
-    prefix of ``deviates``, runs ``kernel`` over ``cand[:, :r]`` with
-    prefixes of the flat buffers ``scratch`` and ``index``, and swap-removes
-    each pick to column r - 1, so ``cand[:, r0 - 1::-1]`` ends as the picks
-    in step order and no step allocates an array of the block's size."""
+    r = r0, ..., 1. A step takes its deviates from ``draw(r)``, which
+    draws them into a buffer of the caller's, runs ``kernel`` over
+    ``cand[:, :r]`` with prefixes of the flat buffers ``scratch`` and
+    ``index``, and swap-removes each pick to column r - 1, so
+    ``cand[:, r0 - 1::-1]`` ends as the picks in step order and no step
+    allocates an array of the block's size."""
     m, width = cand.shape
     base = np.arange(m) * width  # offset of each ant's row in the flat block
     flat = cand.ravel()
     for r in range(r0, 0, -1):
-        block = draw(g, m, r, out=deviates[:m * r].reshape(m, r))
+        block = draw(r)
         at = base + kernel(table, current, block, cand[:, :r],
                            scratch[:m * r].reshape(m, r), index[:m * r].reshape(m, r))
         last = cand[:, r - 1]
@@ -279,8 +277,10 @@ def _argmax_tours(table: np.ndarray, n: int, params: AcoParams,
     visited = penalty.reshape(m, n)
     for a in range(0, m, c):
         np.mod(np.flatnonzero(visited[a:a + c] == 0.0), n, out=chunk[a:a + c].reshape(-1))
-    _scan_steps(table, argmax_select_block, rng.step_exponentials, chunk, c, current, g,
-                dev.ravel(), score.ravel(), index.ravel())
+    flat = dev.ravel()
+    _scan_steps(table, argmax_select_block,
+                lambda r: rng.step_exponentials(g, m, r, out=flat[:m * r].reshape(m, r)),
+                chunk, c, current, score.ravel(), index.ravel())
     tours[:, n - c:] = chunk[:, ::-1]
     _check_picks(table, tours, -np.inf, iteration, fscore, findex)
     return tours

@@ -41,7 +41,7 @@ class Selection(str, enum.Enum):
     """Next-city selection mechanism.
 
     RW is the classic fitness-proportionate roulette wheel (cumulative
-    probabilities, one sequential spin per draw). IR replaces the spin with
+    weights, one sequential spin per draw). IR replaces the spin with
     an argmax over independently perturbed weights, which batches across
     ants. ADAIR is IR with a deviate exponent gamma that follows a cosine
     annealing schedule.

@@ -163,7 +163,7 @@ def _sequential_spins(rows: list, tours: list, g, n: int, iteration: int) -> Non
         cand[s0], cand[n - 1] = cand[n - 1], cand[s0]
     for step in range(1, n):
         r = n - step
-        u = rng.step_uniforms(g, m, r)
+        u = rng.step_uniforms(g, m)
         for a in range(m):
             row = rows[tours[a][-1]]
             cand = cands[a]
@@ -177,7 +177,7 @@ def _sequential_spins(rows: list, tours: list, g, n: int, iteration: int) -> Non
             run = 0.0
             for j in range(r):
                 run += row[cand[j]]
-                if run / total > ua:
+                if run > ua * total:
                     pick = j
                     break
             if pick < 0:

@@ -6,8 +6,8 @@ calls or threads, and distinct domains never share a stream.
 Construction: ``construction_draws`` keys one SFC64 generator per
 (seed, iteration). It draws the start cities, then the steps' blocks of
 Exp(1) deviates, in step order, one row per ant. The roulette wheel's step
-draws one (m, n - step) block, one deviate per unvisited city, and reads
-one element per row through the uniform view u = exp(-E). The argmax
+draws one (m, 1) block, the one deviate per ant that its spin reads,
+through the uniform view u = exp(-E) (``step_uniforms``). The argmax
 mechanisms' step draws an (m, c) block for the ants' chunks of c table
 entries, then an (f, n) block for the f ants whose chunk does not decide,
 in ant order (``colony.construct_tours``). So the deviates a step draws
@@ -53,10 +53,10 @@ def step_exponentials(g: np.random.Generator, m: int, n: int,
 
     ``g`` is the iteration's generator from ``construction_draws``, and the
     block is its next ``standard_exponential((m, n))``, one row per ant:
-    the wheel's step passes the number of unvisited cities, n - step, as
-    ``n``; the argmax mechanisms' step passes the chunk width, then the
-    number of cities for its fallback rows. With r = exp(-E) these are
-    i.i.d. uniforms on the open interval (0, 1).
+    the wheel's step passes n = 1 (``step_uniforms``); the argmax
+    mechanisms' step passes the chunk width, then the number of cities for
+    its fallback rows. With r = exp(-E) these are i.i.d. uniforms on the
+    open interval (0, 1).
 
     With ``out``, a C-contiguous float64 (m, n) array, the block is drawn
     into it and ``out`` is returned, bitwise the block drawn without it;
@@ -65,18 +65,20 @@ def step_exponentials(g: np.random.Generator, m: int, n: int,
     return g.standard_exponential(size=(m, n), out=out)
 
 
-def step_uniforms(g: np.random.Generator, m: int, n: int,
+def step_uniforms(g: np.random.Generator, m: int,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """Uniform(0,1) threshold per ant for one construction step, shape (m,).
+    """Uniform threshold in (0, 1] per ant for one wheel step, shape (m,).
 
-    The uniform view u = exp(-E) of the first column of the step's (m, n)
-    block from ``step_exponentials``, n being the number of unvisited
-    cities. The lockstep pipeline and the sequential reference both call
-    this one function, which keeps their thresholds bit-identical. ``out``
-    is passed on to ``step_exponentials``; the thresholds are the same with
-    it and without.
+    The uniform view u = exp(-E) of the step's (m, 1) block from
+    ``step_exponentials``: m deviates, one per ant, each of which the
+    wheel reads. The lockstep pipeline and the sequential reference both
+    call this one function, which keeps their thresholds bit-identical.
+    With ``out``, a C-contiguous float64 (m, 1) array, the block is drawn
+    into it and overwritten by the thresholds, and the result is a view of
+    it; the thresholds are the same with it and without.
     """
-    return np.exp(-step_exponentials(g, m, n, out)[:, 0])
+    e = step_exponentials(g, m, 1, out)
+    return np.exp(np.negative(e, out=e), out=e)[:, 0]
 
 
 def mc_stream(seed: int, block: int) -> np.random.Generator:

@@ -1,10 +1,10 @@
 """Next-city selection: roulette wheel, independent roulette, and the
 adaptive variant with an annealed deviate exponent.
 
-The roulette wheel (RW) materializes the candidates' cumulative distribution
-and inverts it at one uniform threshold: fitness-proportionate, but built on
-a cumulative scan and normalization of every candidate (the block form runs
-one cumsum and one divide per ant row). Independent roulette (IR) instead
+The roulette wheel (RW) builds the candidates' prefix sums and inverts them
+at one uniform threshold scaled by the total: fitness-proportionate, but
+built on a cumulative scan of every candidate (the block form runs one
+cumsum and one comparison per ant row). Independent roulette (IR) instead
 perturbs every candidate weight independently and takes an argmax:
 
     choice = argmax(r ** gamma * p),   r[i] i.i.d. uniform on (0, 1)
@@ -166,30 +166,32 @@ def rw_spin_block(table: np.ndarray, current: np.ndarray, deviates: np.ndarray,
     """Lockstep roulette spins, one per ant: the wheel's only implementation.
 
     Takes the arguments of ``argmax_select_block``, with the transition
-    matrix as ``table`` and one uniform threshold per ant as ``deviates``.
-    Gathers each ant's weights over its candidates ``cand`` into
-    ``scratch``, materializes their cumulative distribution (prefix sums
-    over total) in candidate order, and returns the first column whose CDF
-    value strictly exceeds that ant's threshold. Zero-weight candidates are
-    never picked (their CDF step is empty). cumsum accumulates left to
-    right and the quotients are taken prefix by prefix, so each pick is the
-    one a scalar running sum over the same candidates finds. ``scratch``
-    (float64) and ``index`` (int64, C-contiguous) are caller-owned blocks
-    of ``cand``'s shape; ``scratch`` keeps the CDF, whose entry at a row's
-    pick is NaN exactly when the row's total weight is zero (0/0, the
-    caller's to report; the pick is then column 0).
+    matrix as ``table`` and one uniform threshold u per ant as
+    ``deviates``. Gathers each ant's weights over its candidates ``cand``
+    into ``scratch``, takes their prefix sums in candidate order, and
+    returns the first column whose prefix sum strictly exceeds u * total,
+    the row's total weight times that ant's threshold. Zero-weight
+    candidates are never picked (their prefix sum equals the one before).
+    cumsum accumulates left to right, so each pick is the one a scalar
+    running sum over the same candidates finds with the test
+    ``run > u * total``. ``scratch`` (float64) and ``index`` (int64,
+    C-contiguous) are caller-owned blocks of ``cand``'s shape; ``scratch``
+    keeps the prefix sums, whose entry at a row's pick is 0 exactly when
+    the row's total weight is zero (the caller's to report; the pick is
+    then column 0).
     """
     _gather(table, current, cand, scratch, index)
     np.cumsum(scratch, axis=1, out=scratch)
-    total = scratch[:, -1].copy()
-    np.divide(scratch, total[:, None], out=scratch)
+    total = scratch[:, -1]
+    thr = deviates * total
     # the comparison goes into the index block's bytes, dead after the gather
     hit = np.ndarray(cand.shape, np.bool_, index)
-    pos = np.greater(scratch, deviates[:, None], out=hit).argmax(axis=1)
-    # a threshold can reach 1.0 exactly (the uniform view of an underflowing
-    # deviate), which no CDF value exceeds since the CDF tops out at exactly
-    # 1.0; those rows take the last positive-weight candidate
-    for a in np.flatnonzero(scratch[:, -1] <= deviates):
+    pos = np.greater(scratch, thr[:, None], out=hit).argmax(axis=1)
+    # u * total can round to the total (at u = 1.0, the uniform view of an
+    # underflowing deviate; below 1 only for a subnormal total), which no
+    # prefix sum exceeds; those rows take the last positive-weight
+    # candidate, and all-zero rows keep column 0
+    for a in np.flatnonzero((total <= thr) & (total > 0.0)):
         pos[a] = np.flatnonzero(table[current[a], cand[a]])[-1]
     return pos
 

@@ -423,15 +423,16 @@ def test_shift_study_rejects_trials_below_one(trials):
 # pinned outputs -------------------------------------------------------------------
 
 # sha256 of seeded outputs (the tours, and so every record, depend on the
-# step blocks' and the start cities' bits). rw's was recorded when
-# construction moved to one keyed SFC64 per iteration, drawn in step order;
-# ir's and adair's when they moved to chunk, bound and fallback rows (on
-# 20 cities every step is a last-c step, which scans each ant's unvisited
-# cities in a new order).
+# step blocks' and the start cities' bits). rw's was recorded when the
+# wheel's step came to draw one (m, 1) threshold block instead of an
+# (m, n - s) one, so every threshold after the first step's changed, and to
+# spin by run > u * total; ir's and adair's when they moved to chunk, bound
+# and fallback rows (on 20 cities every step is a last-c step, which scans
+# each ant's unvisited cities in a new order).
 # The digests are of repr'd floats, so they assume IEEE doubles and the
 # numpy/libm results of an x86-64 Linux build.
 RECORD_DIGESTS = {
-    "rw": "0f04c99df14d9757c91abd431c0fd99202d61d7254cc65165a8ce4477c59662c",
+    "rw": "8bfa1d6fb933a383cc94b6e5a31ba26e8f752e48c9a86fb3199fc75bd2d3e82d",
     "ir": "ef09460ddee78aa86cedb6d47057af0a74094257e23f0c436c987cd9cbc562d7",
     "adair": "48dae206eac439f1d7c6795c887c465a8146acf611740be16489362f24d401c5",
 }

@@ -64,12 +64,14 @@ def test_traced_iteration_counts(probe, mech):
     calls = [s for s in tracer.spans if s.label == kernel]
     blocks = [s for s in tracer.spans if s.label == "rng.step_exponentials"]
     if mech is Selection.RW:
-        assert len(calls) == n - 1
-        assert len([s for s in tracer.spans if s.label == draw]) == n - 1
-        # step s sweeps and draws the (m, n - s) block of the ants' candidates
-        for step, (span, block) in enumerate(zip(calls, blocks, strict=True), start=1):
+        draws = [s for s in tracer.spans if s.label == draw]
+        assert len(calls) == len(draws) == n - 1
+        # step s sweeps the (m, n - s) block of the ants' candidates and
+        # draws one (m, 1) block, each deviate of which its spin reads
+        for step, (span, block, read) in enumerate(zip(calls, blocks, draws, strict=True),
+                                                   start=1):
             assert span.entries == m * (n - step)
-            assert block.deviates == m * (n - step)
+            assert block.deviates == read.deviates == m
     else:
         # each step sweeps and draws the (m, CHUNK) chunk block, then the
         # (f, n) block of the f ants whose chunk did not decide, if any; the

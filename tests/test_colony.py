@@ -178,8 +178,8 @@ def test_construct_tours_builds_one_seed_sequence(mech, monkeypatch):
 
 @pytest.mark.parametrize("mech", list(Selection))
 def test_construct_tours_draws_every_step_into_one_block(mech, monkeypatch):
-    # The wheel's step s draws the (m, n - s) block of the ants' candidates,
-    # each into a prefix of one buffer: m * n * (n - 1) / 2 deviates in all.
+    # The wheel's step draws one (m, 1) block, a threshold per ant, into one
+    # buffer: m * (n - 1) deviates in all.
     # The argmax mechanisms' step draws an (m, CHUNK) block into one buffer,
     # then, when f ants' chunks do not decide, an (f, n) block into a prefix
     # of another; their last CHUNK steps draw (m, r) blocks, r = CHUNK, ...,
@@ -200,9 +200,8 @@ def test_construct_tours_draws_every_step_into_one_block(mech, monkeypatch):
     monkeypatch.setattr(rng, "step_exponentials", spy)
     batch = construct_tours(p, inst, params, iteration=2)
     if mech is Selection.RW:
-        assert [b.shape for b in blocks] == [(3, 12 - step) for step in range(1, 12)]
-        assert all(np.shares_memory(b, blocks[0]) for b in blocks)
-        assert sum(b.size for b in blocks) == 3 * 12 * 11 // 2
+        assert [b.shape for b in blocks] == [(3, 1)] * 11
+        assert all(b is blocks[0] for b in blocks)
     else:
         steps = [b for b in blocks if b.shape[1] != n]
         falls = [b for b in blocks if b.shape[1] == n]
@@ -469,16 +468,16 @@ def test_iterate_chains_the_pipeline_in_order(mech):
 
 
 # Tours, costs, tau and the transition matrix of three iterations on a
-# 20-city instance: rw's recorded when construction moved to one keyed
-# SFC64 per iteration, drawn in step order (every step block and start
-# city, so every tour's bits, changed); ir's and adair's when they moved
-# to chunk, bound and fallback rows (on 20 cities every step is a last-c
-# step, which scans each ant's unvisited cities in a new order). The
-# digests are of float
+# 20-city instance: rw's recorded when the wheel's step came to draw one
+# (m, 1) threshold block instead of an (m, n - s) one (every threshold
+# after the first step's, so the tours' bits, changed) and to spin by
+# run > u * total; ir's and adair's when they moved to chunk, bound and
+# fallback rows (on 20 cities every step is a last-c step, which scans
+# each ant's unvisited cities in a new order). The digests are of float
 # bits, so they assume IEEE doubles and the numpy/libm results of an x86-64
 # Linux build.
 ITERATE_DIGESTS = {
-    "rw": "cba70640f8df268b13074cd1c4a5b201d6784502743cf73878696eb9afbc15ad",
+    "rw": "b28c237c883432fd9d5b8d7152b002268c026d21c52445467f63789b4f6db26c",
     "ir": "ac63a4676f00ee050057649092c18c6cd36588ffc93385b45f8e9176e43caf6a",
     "adair": "f3f976595623fcf54eac1742ec8f0bf62de74210600337c10b99bde3b94771f0",
 }

@@ -107,35 +107,43 @@ def test_step_exponentials_shape_and_determinism():
             rng.step_exponentials(g, 6, 9, out=np.empty(shape))
 
 
-def test_step_uniforms_are_the_blocks_first_column():
+def test_step_uniforms_draw_one_deviate_per_ant():
     def fresh():
         return rng.construction_draws(3, 0, 1000, 50)[1]
 
-    u = rng.step_uniforms(fresh(), 1000, 50)
+    g = fresh()
+    u = rng.step_uniforms(g, 1000)
     assert u.shape == (1000,)
     assert np.all(u > 0.0) and np.all(u <= 1.0)
-    # the uniform view of the shared deviate block, not a separate stream
-    e = rng.step_exponentials(fresh(), 1000, 50)
-    assert np.array_equal(u, np.exp(-e[:, 0]))
-    # drawing the block into a caller's buffer leaves the thresholds as they are
-    buf = np.empty((1000, 50))
-    assert rng.step_uniforms(fresh(), 1000, 50, out=buf).tobytes() == u.tobytes()
-    assert buf.tobytes() == e.tobytes()
+    # the uniform view of an (m, 1) Exp(1) block of the construction's
+    # stream, not a separate stream
+    direct = fresh()
+    assert u.tobytes() == np.exp(-direct.standard_exponential((1000, 1)))[:, 0].tobytes()
+    # and the generator has advanced by exactly those m deviates
+    assert np.array_equal(g.bit_generator.random_raw(4), direct.bit_generator.random_raw(4))
+    # drawn into a caller's (m, 1) block: the same thresholds, in that block
+    buf = np.full((1000, 1), np.nan)
+    got = rng.step_uniforms(fresh(), 1000, out=buf)
+    assert np.shares_memory(got, buf)
+    assert got.tobytes() == u.tobytes()
+    with pytest.raises(ValueError):
+        rng.step_uniforms(fresh(), 1000, out=np.empty((1000, 2)))
 
 
 @pytest.fixture(scope="module")
 def colony_step_draws():
     """The draws of one construction at (m, n) = (50, 200), seed 0,
-    iteration 0, in step order: the Exp(1) blocks of steps 1..199 and,
-    from a second generator of the same key, the wheel thresholds (the
-    colony's blocks shrink by a column per step; these keep all n)."""
+    iteration 0, in step order: the Exp(1) blocks of steps 1..199 (the
+    argmax mechanisms' last steps shrink theirs by a column per step;
+    these keep all n) and, from a second generator of the same key, the
+    wheel's m thresholds per step."""
     m, n = 50, 200
     g = rng.construction_draws(0, 0, m, n)[1]
     h = rng.construction_draws(0, 0, m, n)[1]
     steps = range(1, n)
     return {
         "exponentials": np.stack([rng.step_exponentials(g, m, n) for _ in steps]),
-        "uniforms": np.stack([rng.step_uniforms(h, m, n) for _ in steps]),
+        "uniforms": np.stack([rng.step_uniforms(h, m) for _ in steps]),
     }
 
 

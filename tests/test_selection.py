@@ -127,7 +127,7 @@ def test_rw_spin_always_positive_weight(seed):
 
 def _scalar_spin(weights: list[float], u: float) -> int:
     """The wheel as a running sum over the candidates in their order: the
-    first column whose prefix sum over the total exceeds u, else the last
+    first column whose prefix sum exceeds u times the total, else the last
     positive weight; column 0 when every weight is zero."""
     total = 0.0
     for w in weights:
@@ -137,13 +137,17 @@ def _scalar_spin(weights: list[float], u: float) -> int:
     run = 0.0
     for j, w in enumerate(weights):
         run += w
-        if run / total > u:
+        if run > u * total:
             return j
     return max(j for j, w in enumerate(weights) if w > 0.0)
 
 
 _WEIGHTS = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
-_THRESHOLDS = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+# 1.0 puts u * total at the total, which no prefix sum exceeds; the double
+# just below 1 puts it one rounding below a normal total, and at a
+# subnormal total it rounds up to it
+_THRESHOLDS = (st.sampled_from([0.0, 0.25, 0.5, 1.0, float(np.nextafter(1.0, 0.0))])
+               | st.floats(0.0, 1.0))
 
 
 @given(st.data())
@@ -151,20 +155,38 @@ _THRESHOLDS = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
 def test_rw_spin_block_is_the_scalar_spin_over_the_candidates(data):
     n = data.draw(st.integers(1, 9))
     m = data.draw(st.integers(1, 6))
-    r = data.draw(st.integers(1, n))
+    r = data.draw(st.just(1) | st.integers(1, n))   # single-candidate rows
     table = data.draw(arrays(np.float64, (n, n), elements=_WEIGHTS))
     current = data.draw(arrays(np.int64, m, elements=st.integers(0, n - 1)))
     cand = np.array([data.draw(st.permutations(range(n))) for _ in range(m)],
                     dtype=np.int64)[:, :r]
+    for a in np.flatnonzero(data.draw(arrays(np.bool_, m))):
+        table[current[a], cand[a]] = 0.0   # an all-zero row
     u = data.draw(arrays(np.float64, m, elements=_THRESHOLDS))
     scratch, index = _blocks(m, r)
-    with np.errstate(invalid="ignore"):   # 0/0 marks an all-zero row
+    with np.errstate(invalid="raise"):   # no 0/0, even on all-zero rows
         got = rw_spin_block(table, current, u, cand, scratch, index)
     for a in range(m):
         weights = table[current[a], cand[a]].tolist()
         assert got[a] == _scalar_spin(weights, float(u[a]))
-        # the CDF entry at the pick is NaN exactly for an all-zero row
-        assert np.isnan(scratch[a, got[a]]) == (sum(weights) == 0.0)
+        # the prefix sum at the pick is 0 exactly for an all-zero row
+        assert (scratch[a, got[a]] == 0.0) == (sum(weights) == 0.0)
+
+
+def test_rw_spin_thresholds_at_and_just_below_one():
+    # the row's last candidate has weight zero: u = 1.0 puts u * total at
+    # the total and takes the fallback; at the double just below 1 the
+    # product stays below a normal total, and the last positive weight's
+    # prefix sum exceeds it
+    w = np.array([0.3, 0.1, 0.7, 0.0])
+    below = float(np.nextafter(1.0, 0.0))
+    total = float(np.cumsum(w)[-1])
+    assert below * total < total
+    assert _spin(w, below) == _spin(w, 1.0) == 2
+    # at a subnormal total the product rounds up to it
+    tiny = np.array([0.0, 5e-324, 0.0])
+    assert below * 5e-324 == 5e-324
+    assert _spin(tiny, below) == 1
 
 
 # argmax kernel ---------------------------------------------------------------
